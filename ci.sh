@@ -28,7 +28,12 @@
 #   kill-recover  race-enabled run of the process-level crash test: a
 #                 journaled collectord SIGKILLed mid-ingest, restarted
 #                 on the same journal directory, final accounting shows
-#                 every event ingested exactly once
+#                 every event ingested exactly once. Every collectord
+#                 is a cluster node (a standalone one is a cluster of
+#                 one), so this exercises the node bootstrap path:
+#                 staged replay, peerless reconcile, post-commit
+#                 rotation. The merged daemon test (1-node and 3-node
+#                 runs, admin endpoints, drop-free drain) rides along
 #   cluster e2e   race-enabled run of the collectord cluster suite
 #                 (internal/cluster): 3 journaled nodes under seeded
 #                 SWIM membership, a node killed mid-churn plus an
@@ -95,7 +100,7 @@ echo "==> collector e2e under race (16 clients, kills, chaosnet, journal recover
 go test -race -run 'TestCollector|TestRecovery' -count 1 ./internal/collectorsvc
 
 echo "==> collectord kill-recover under race (SIGKILL mid-ingest, exactly-once across restart)"
-go test -race -run 'TestCollectordKillRecover' -count 1 ./cmd/unroller-collectord
+go test -race -run 'TestCollectordKillRecover|TestRun' -count 1 ./cmd/unroller-collectord
 
 echo "==> cluster e2e under race (3 nodes, node kill + asymmetric partition, reshard, exactly-once cluster-wide)"
 go test -race -run 'TestCluster|TestAgents|TestAsymmetric|TestFullPartition' -count 1 ./internal/cluster

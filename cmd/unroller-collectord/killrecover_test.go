@@ -117,6 +117,7 @@ func TestCollectordKillRecoverExactlyOnce(t *testing.T) {
 	addr := freeAddr(t)
 	args := []string{
 		"-listen", addr,
+		"-cluster-listen", "127.0.0.1:0",
 		"-journal", dir,
 		"-fsync", "never", // commit-before-ack still survives SIGKILL
 		"-segment-bytes", "8192", // force rotations + snapshots mid-run

@@ -16,19 +16,24 @@
 //	                    [-journal DIR] [-fsync interval] [-segment-bytes N]
 //	                    [-retain 8] [-read-timeout 30s] [-write-timeout 10s]
 //	                    [-max-conns 256]
-//	                    [-node-id ID -cluster-listen :7779 -peers HOST:PORT,...]
+//	                    [-node-id ID] [-cluster-listen :7779] [-peers HOST:PORT,...]
 //	                    [-partitions 32] [-vnodes 16] [-seed N]
 //
-// With -node-id the daemon runs as one member of a collectord cluster
-// (internal/cluster): it joins the membership layer through -peers,
-// owns the flow partitions the seeded hash ring assigns it, and — when
+// Every daemon is a member of a collectord cluster (internal/cluster);
+// a standalone daemon is simply a cluster of one. It binds
+// -cluster-listen for the membership plane, owns the flow partitions
+// the seeded hash ring assigns it (all of them when alone), and — when
 // journaled — reconciles a restart against the live peers that covered
 // its partitions while it was down, discarding already-ingested frames
-// (counted as cross_dupes) instead of double-ingesting them.
-// -partitions, -vnodes, and -seed fix the ring geometry and must match
-// on every node and client. The admin endpoint gains a cluster stanza
-// on /statsz, and /healthz answers "degraded" while the node is
-// isolated from every peer.
+// (counted as cross_dupes) instead of double-ingesting them. With no
+// peers the reconciliation asks nobody and commits the whole replay.
+// -node-id names the member and defaults to "collectord"; -peers joins
+// existing members and requires an explicit -node-id, so two joining
+// nodes never share the default. -partitions, -vnodes, and -seed fix
+// the ring geometry and must match on every node and client. The admin
+// endpoint serves /statsz with a cluster stanza, and /healthz answers
+// "degraded" while the node is isolated from every peer (never, for a
+// cluster of one).
 //
 // With -journal, every accepted frame is committed to a write-ahead
 // journal before it is acknowledged, and a restart on the same
@@ -36,13 +41,13 @@
 // accounting counters all survive a SIGKILL, so clients that reconnect
 // and retransmit are deduplicated instead of double-ingested. -fsync
 // picks the durability point (always | interval | never — see
-// DESIGN.md §9 for the trade-offs). The admin listener additionally
-// serves /healthz (503 once the journal has failed).
+// DESIGN.md §9 for the trade-offs). /healthz answers 503 once the
+// journal has failed.
 //
-// SIGINT or SIGTERM drains gracefully: stop accepting, close
-// connections, flush every shard queue into its controller, then print
-// the final accounting (after which Ingested = delivered + queue-dropped
-// holds exactly).
+// SIGINT or SIGTERM drains gracefully: leave the cluster, stop
+// accepting, close connections, flush every shard queue into its
+// controller, then print the final accounting (after which Ingested =
+// delivered + queue-dropped holds exactly).
 package main
 
 import (
@@ -60,6 +65,11 @@ import (
 	"github.com/unroller/unroller/internal/collectorsvc"
 	"github.com/unroller/unroller/internal/dataplane"
 )
+
+// defaultNodeID names a daemon started without -node-id: a standalone
+// collectord is a one-member cluster, and with no -peers nothing else
+// can claim the same identity.
+const defaultNodeID = "collectord"
 
 func main() {
 	var (
@@ -82,8 +92,8 @@ func main() {
 		writeTO  = flag.Duration("write-timeout", collectorsvc.DefaultWriteTimeout, "ack write deadline")
 		maxConns = flag.Int("max-conns", collectorsvc.DefaultMaxConns, "concurrent ingest connections before rejecting at accept")
 
-		nodeID   = flag.String("node-id", "", "stable cluster node identity (enables cluster mode)")
-		clusterL = flag.String("cluster-listen", ":7779", "cluster membership/handoff listener (cluster mode)")
+		nodeID   = flag.String("node-id", "", "stable cluster node identity (default "+defaultNodeID+"; required with -peers)")
+		clusterL = flag.String("cluster-listen", ":7779", "cluster membership/handoff listener")
 		peers    = flag.String("peers", "", "comma-separated cluster addresses of peers to join through")
 		parts    = flag.Int("partitions", cluster.DefaultPartitions, "flow partitions on the ring (must match cluster-wide)")
 		vnodes   = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the ring (must match cluster-wide)")
@@ -130,29 +140,25 @@ func main() {
 		close(stop)
 	}()
 
-	if *nodeID != "" {
-		ncfg := cluster.NodeConfig{
-			ID:            *nodeID,
-			ClusterListen: *clusterL,
-			IngestListen:  *listen,
-			Peers:         splitPeers(*peers),
-			Partitions:    *parts,
-			VNodes:        *vnodes,
-			Seed:          *seed,
-			Server:        cfg,
+	id := *nodeID
+	if id == "" {
+		if *peers != "" {
+			fmt.Fprintln(os.Stderr, "unroller-collectord: -peers requires -node-id")
+			os.Exit(2)
 		}
-		if err := runCluster(os.Stdout, ncfg, jcfg, *admin, stop, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "unroller-collectord: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		id = defaultNodeID
 	}
-	if *peers != "" {
-		fmt.Fprintln(os.Stderr, "unroller-collectord: -peers requires -node-id (cluster mode)")
-		os.Exit(2)
+	ncfg := cluster.NodeConfig{
+		ID:            id,
+		ClusterListen: *clusterL,
+		IngestListen:  *listen,
+		Peers:         splitPeers(*peers),
+		Partitions:    *parts,
+		VNodes:        *vnodes,
+		Seed:          *seed,
+		Server:        cfg,
 	}
-
-	if err := run(os.Stdout, cfg, jcfg, *listen, *admin, stop, nil); err != nil {
+	if err := runCluster(os.Stdout, ncfg, jcfg, *admin, stop, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "unroller-collectord: %v\n", err)
 		os.Exit(1)
 	}
@@ -170,83 +176,13 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// run starts the service and blocks until stop closes, then drains and
-// prints the final accounting. It is main minus the process concerns:
-// tests drive it with their own stop channel and read the bound
-// addresses from ready (ingest address first, then admin when enabled).
-// A non-nil jcfg journals ingest and replays the directory before the
-// listener opens.
-func run(w io.Writer, cfg collectorsvc.ServerConfig, jcfg *collectorsvc.JournalConfig, listen, admin string, stop <-chan struct{}, ready chan<- net.Addr) error {
-	var srv *collectorsvc.Server
-	if jcfg != nil {
-		j, err := collectorsvc.OpenJournal(*jcfg)
-		if err != nil {
-			return err
-		}
-		cfg.Journal = j
-		var rec collectorsvc.RecoveryStats
-		srv, rec, err = collectorsvc.NewRecoveredServer(cfg)
-		if err != nil {
-			j.Close()
-			return err
-		}
-		defer j.Close()
-		fmt.Fprintf(w, "journal: %s (fsync=%s) recovered records=%d snapshots=%d truncated=%d clients=%d flows=%d ingested=%d ticks=%d\n",
-			jcfg.Dir, jcfg.Fsync, rec.Records, rec.Snapshots, rec.TruncatedBytes, rec.Clients, rec.Flows, rec.Ingested, rec.Ticks)
-	} else {
-		srv = collectorsvc.NewServer(cfg)
-	}
-	addr, err := srv.Start(listen)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "listening on %s (shards=%d queue=%d dedup=%d)\n",
-		addr, cfg.Shards, cfg.QueueDepth, cfg.Controller.DedupWindow)
-	if ready != nil {
-		ready <- addr
-	}
-
-	var adminLn net.Listener
-	if admin != "" {
-		adminLn, err = net.Listen("tcp", admin)
-		if err != nil {
-			srv.Shutdown()
-			return fmt.Errorf("admin listen %s: %w", admin, err)
-		}
-		fmt.Fprintf(w, "admin on http://%s/statsz\n", adminLn.Addr())
-		if ready != nil {
-			ready <- adminLn.Addr()
-		}
-		go srv.ServeAdmin(adminLn)
-	}
-
-	<-stop
-	if adminLn != nil {
-		adminLn.Close()
-	}
-	srv.Shutdown()
-
-	st := srv.Stats()
-	fmt.Fprintf(w, "final: conns=%d frames=%d bad=%d dupes=%d ingested=%d ticks=%d queue_dropped=%d shedded_ticks=%d conns_rejected=%d\n",
-		st.Conns, st.Frames, st.BadFrames, st.Dupes, st.Ingested, st.Ticks, st.QueueDropped, st.SheddedTicks, st.ConnsRejected)
-	if j := srv.Journal(); j != nil {
-		jst := j.Stats()
-		fmt.Fprintf(w, "journal: segments=%d bytes=%d appends=%d append_errors=%d rotations=%d\n",
-			jst.Segments, jst.Bytes, jst.Appends, jst.AppendErrors, jst.Rotations)
-	}
-	fmt.Fprintf(w, "aggregate: %s\n", srv.ControllerStats())
-	for i, cs := range srv.ShardStats() {
-		fmt.Fprintf(w, "shard %d: %s\n", i, cs)
-	}
-	return nil
-}
-
-// runCluster is run's cluster-mode twin: it boots one cluster node
-// (membership agent + ingest server + recovery handoff) and blocks
-// until stop closes. ready, when non-nil, receives the bound ingest
-// address, then the cluster address, then the admin address (when
-// enabled). A non-nil jcfg journals ingest; the restart path then
-// reconciles against live peers before serving.
+// runCluster boots the daemon's cluster node (membership agent +
+// ingest server + recovery handoff), blocks until stop closes, then
+// drains and prints the final accounting. It is main minus the process
+// concerns: tests drive it with their own stop channel and read the
+// bound addresses from ready (ingest, then cluster, then admin when
+// enabled). A non-nil jcfg journals ingest; the node replays the
+// directory and reconciles it against any live peers before serving.
 func runCluster(w io.Writer, ncfg cluster.NodeConfig, jcfg *collectorsvc.JournalConfig, admin string, stop <-chan struct{}, ready chan<- string) error {
 	if jcfg != nil {
 		j, err := collectorsvc.OpenJournal(*jcfg)
@@ -260,13 +196,17 @@ func runCluster(w io.Writer, ncfg cluster.NodeConfig, jcfg *collectorsvc.Journal
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "node %s: ingest on %s, cluster on %s (partitions=%d vnodes=%d seed=%d peers=%d)\n",
-		node.ID(), node.IngestAddr(), node.ClusterAddr(), ncfg.Partitions, ncfg.VNodes, ncfg.Seed, len(ncfg.Peers))
+	srv := node.Server()
 	if jcfg != nil {
-		rec := node.Server().Recovery()
-		fmt.Fprintf(w, "journal: %s (fsync=%s) recovered records=%d ingested=%d cross_dupes=%d\n",
-			jcfg.Dir, jcfg.Fsync, rec.Records, rec.Ingested, rec.CrossDupes)
+		rec := srv.Recovery()
+		fmt.Fprintf(w, "journal: %s (fsync=%s) recovered records=%d snapshots=%d truncated=%d clients=%d flows=%d ingested=%d ticks=%d cross_dupes=%d\n",
+			jcfg.Dir, jcfg.Fsync, rec.Records, rec.Snapshots, rec.TruncatedBytes, rec.Clients, rec.Flows, rec.Ingested, rec.Ticks, rec.CrossDupes)
 	}
+	scfg := ncfg.Server
+	fmt.Fprintf(w, "listening on %s (shards=%d queue=%d dedup=%d)\n",
+		node.IngestAddr(), scfg.Shards, scfg.QueueDepth, scfg.Controller.DedupWindow)
+	fmt.Fprintf(w, "node %s: cluster on %s (partitions=%d vnodes=%d seed=%d peers=%d)\n",
+		node.ID(), node.ClusterAddr(), ncfg.Partitions, ncfg.VNodes, ncfg.Seed, len(ncfg.Peers))
 	if ready != nil {
 		ready <- node.IngestAddr()
 		ready <- node.ClusterAddr()
@@ -292,13 +232,20 @@ func runCluster(w io.Writer, ncfg cluster.NodeConfig, jcfg *collectorsvc.Journal
 	}
 	node.Stop()
 
-	srv := node.Server()
 	st := srv.Stats()
-	fmt.Fprintf(w, "final: conns=%d frames=%d bad=%d dupes=%d ingested=%d ticks=%d cross_dupes=%d queue_dropped=%d\n",
-		st.Conns, st.Frames, st.BadFrames, st.Dupes, st.Ingested, st.Ticks, st.CrossDupes, st.QueueDropped)
+	fmt.Fprintf(w, "final: conns=%d frames=%d bad=%d dupes=%d ingested=%d ticks=%d cross_dupes=%d queue_dropped=%d shedded_ticks=%d conns_rejected=%d\n",
+		st.Conns, st.Frames, st.BadFrames, st.Dupes, st.Ingested, st.Ticks, st.CrossDupes, st.QueueDropped, st.SheddedTicks, st.ConnsRejected)
+	if j := srv.Journal(); j != nil {
+		jst := j.Stats()
+		fmt.Fprintf(w, "journal: segments=%d bytes=%d appends=%d append_errors=%d rotations=%d\n",
+			jst.Segments, jst.Bytes, jst.Appends, jst.AppendErrors, jst.Rotations)
+	}
 	ci := node.Info()
 	fmt.Fprintf(w, "cluster: id=%s version=%d isolated=%v partitions=%d owned=%d members=%d\n",
 		ci.ID, ci.Version, ci.Isolated, ci.Partitions, ci.Owned, len(ci.Members))
 	fmt.Fprintf(w, "aggregate: %s\n", srv.ControllerStats())
+	for i, cs := range srv.ShardStats() {
+		fmt.Fprintf(w, "shard %d: %s\n", i, cs)
+	}
 	return nil
 }

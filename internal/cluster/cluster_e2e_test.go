@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -372,5 +375,81 @@ func TestClusterRecoveryDiscountsPeerOverlap(t *testing.T) {
 	// the same 50 records would double it to 100.
 	if rec := a.node.Server().Recovery(); rec.CrossDupes != 50 {
 		t.Fatalf("second restart reports cross_dupes=%d, want the unchanged baseline 50", rec.CrossDupes)
+	}
+}
+
+// TestClusterOneMemberJournaledRestart pins the standalone daemon's
+// restart path: a peerless node journals frames, stops without a
+// rotation (so they replay as staged records), and restarts. Every
+// staged record must commit with nothing discounted, the post-commit
+// rotation must run, the node must serve without waiting out
+// RecoverySync on peers that do not exist, and /healthz must answer
+// ready — a cluster of one is never isolated.
+func TestClusterOneMemberJournaledRestart(t *testing.T) {
+	const (
+		frames       = 200
+		recoverySync = 10 * time.Second
+	)
+	dir := t.TempDir()
+	start := func() (*Node, *collectorsvc.Journal, time.Duration) {
+		t.Helper()
+		// One segment holds the whole run, so only the node's own
+		// post-commit rotation can rotate.
+		j, err := collectorsvc.OpenJournal(collectorsvc.JournalConfig{Dir: dir, SegmentBytes: 64 << 20, Fsync: collectorsvc.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		begin := time.Now()
+		n, err := StartNode(NodeConfig{
+			ID:           "solo",
+			Server:       collectorsvc.ServerConfig{Shards: 2, Journal: j},
+			RecoverySync: recoverySync,
+		})
+		if err != nil {
+			j.Close()
+			t.Fatal(err)
+		}
+		return n, j, time.Since(begin)
+	}
+
+	n, j, _ := start()
+	c, err := collectorsvc.NewClient(collectorsvc.ClientConfig{Addr: n.IngestAddr(), ID: 0xA11CE, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		c.Send(dataplane.LoopEvent{Report: detect.Report{Reporter: 1, Hops: 2}, Flow: uint32(i)}, 2)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Acked != frames {
+		t.Fatalf("acked %d of %d", st.Acked, frames)
+	}
+	n.Stop()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	n, j, took := start()
+	defer j.Close()
+	defer n.Stop()
+	if took > recoverySync/10 {
+		t.Errorf("peerless restart took %v, want well under RecoverySync %v", took, recoverySync)
+	}
+	rec := n.Server().Recovery()
+	if rec.Records < frames || rec.Ingested != frames || rec.CrossDupes != 0 {
+		t.Errorf("recovery %+v, want all %d staged records committed with cross_dupes=0", rec, frames)
+	}
+	if st := n.Server().Stats(); st.Ingested != frames || st.CrossDupes != 0 {
+		t.Errorf("restarted stats: ingested=%d cross_dupes=%d, want %d/0", st.Ingested, st.CrossDupes, frames)
+	}
+	if rot := j.Stats().Rotations; rot != 1 {
+		t.Errorf("journal rotations after restart = %d, want the one post-commit rotation", rot)
+	}
+	rr := httptest.NewRecorder()
+	n.AdminHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
+	if rr.Code != http.StatusOK || strings.TrimSpace(rr.Body.String()) != "ready" {
+		t.Errorf("/healthz: status %d body %q, want 200 ready", rr.Code, rr.Body.String())
 	}
 }

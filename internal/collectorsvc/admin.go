@@ -3,7 +3,6 @@ package collectorsvc
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 
@@ -101,18 +100,4 @@ func renderStatsText(snap AdminStats) string {
 			j.Segments, j.Bytes, j.LastFsyncMS, j.Appends, j.AppendErrors, j.Rotations)
 	}
 	return b.String()
-}
-
-// ServeAdmin serves the admin handler on l until the listener closes.
-func (s *Server) ServeAdmin(l net.Listener) error {
-	err := http.Serve(l, s.AdminHandler())
-	if err != nil && !isClosedErr(err) {
-		return fmt.Errorf("collectorsvc: admin: %w", err)
-	}
-	return nil
-}
-
-// isClosedErr reports the benign listener-closed error.
-func isClosedErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "use of closed network connection")
 }

@@ -2,8 +2,6 @@ package collectorsvc
 
 import (
 	"encoding/json"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -202,34 +200,5 @@ func TestAdminHealthz(t *testing.T) {
 	srv.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "degraded") {
 		t.Fatalf("failed journal: status %d body %q, want 503 degraded", rec.Code, rec.Body.String())
-	}
-}
-
-// TestServeAdmin: the admin listener serves over a real socket and
-// shuts down cleanly (listener close is not an error).
-func TestServeAdmin(t *testing.T) {
-	srv := adminFixture(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.ServeAdmin(ln) }()
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "server:") {
-		t.Errorf("status %d body %q", resp.StatusCode, body)
-	}
-	ln.Close()
-	if err := <-served; err != nil {
-		t.Errorf("ServeAdmin after listener close: %v", err)
 	}
 }

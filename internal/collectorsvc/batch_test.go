@@ -5,7 +5,6 @@
 package collectorsvc
 
 import (
-	"bufio"
 	"net"
 	"testing"
 	"time"
@@ -19,13 +18,10 @@ import (
 func readAcks(t *testing.T, conn net.Conn, timeout time.Duration) []uint64 {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(timeout))
-	br := bufio.NewReader(conn)
-	var scratch []byte
+	br := newFrameReader(conn)
 	var acks []uint64
 	for {
-		var f Frame
-		var err error
-		f, scratch, err = ReadFrame(br, scratch)
+		f, err := ReadFrameBuffered(br)
 		if err != nil {
 			return acks
 		}

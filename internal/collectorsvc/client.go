@@ -421,15 +421,13 @@ func (c *Client) stream(conn net.Conn) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		br := bufio.NewReaderSize(conn, 1<<10)
-		var scratch []byte
+		br := newFrameReader(conn)
 		for {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.StaleTimeout))
-			f, sc, err := ReadFrame(br, scratch)
+			f, err := ReadFrameBuffered(br)
 			if err != nil {
 				break
 			}
-			scratch = sc
 			if f.Type == FrameAck {
 				c.ack(f.Seq)
 			}

@@ -1,7 +1,6 @@
 package collectorsvc
 
 import (
-	"bufio"
 	"bytes"
 	"reflect"
 	"testing"
@@ -16,8 +15,10 @@ import (
 //   - no panic, whatever the input (truncated payloads, oversized length
 //     prefixes, unknown versions, garbage member counts);
 //   - no allocation proportional to a hostile length prefix — the
-//     stream reader's scratch buffer never grows past MaxFrameBody;
-//   - DecodeFrame and ReadFrame agree: same frame or same error class;
+//     stream reader decodes in place and allocates less than
+//     MaxFrameBody bytes per frame;
+//   - DecodeFrame and ReadFrameBuffered agree: same frame or same
+//     error class;
 //   - anything that decodes successfully re-encodes to bytes that decode
 //     to the identical frame (the codec is self-consistent).
 func FuzzReportFrame(f *testing.F) {
@@ -42,12 +43,14 @@ func FuzzReportFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		df, dn, derr := DecodeFrame(data)
 
-		sf, scratch, serr := ReadFrame(bufio.NewReader(bytes.NewReader(data)), nil)
-		if cap(scratch) > MaxFrameBody {
-			t.Fatalf("scratch grew to %d (> MaxFrameBody %d) on %d input bytes", cap(scratch), MaxFrameBody, len(data))
+		br := newFrameReader(bytes.NewReader(data))
+		var sf Frame
+		var serr error
+		if n := allocBytes(func() { sf, serr = ReadFrameBuffered(br) }); n >= MaxFrameBody {
+			t.Fatalf("stream reader allocated %d bytes (>= MaxFrameBody %d) on %d input bytes", n, MaxFrameBody, len(data))
 		}
 		if (derr == nil) != (serr == nil) {
-			t.Fatalf("decoders disagree: DecodeFrame err=%v, ReadFrame err=%v", derr, serr)
+			t.Fatalf("decoders disagree: DecodeFrame err=%v, ReadFrameBuffered err=%v", derr, serr)
 		}
 		if derr != nil {
 			return

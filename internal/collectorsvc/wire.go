@@ -55,9 +55,8 @@ import (
 //	FrameAck     seq (8)
 //	FrameHeartbeat  seq (8, the client's highest sent seq; informational)
 //
-// Field encodings reuse the conventions of internal/frames and the
-// emulator frame: big-endian fixed-width integers, switch IDs as their
-// raw 32 bits. Sequence numbers are per-client and strictly increasing;
+// Field encodings follow the emulator's packet frame: big-endian
+// fixed-width integers, switch IDs as their raw 32 bits. Sequence numbers are per-client and strictly increasing;
 // the server acknowledges the highest sequence it has accounted for and
 // treats anything at or below a client's high-water mark as a transport
 // duplicate, which is what turns at-least-once retransmission into
@@ -272,8 +271,9 @@ func decodeBody(f *Frame, b []byte) error {
 // ReadFrameBuffered reads one frame from br without copying the body
 // out of br's internal buffer: the frame is peeked in place, decoded,
 // and discarded. br's buffer must be at least lenPrefixSize +
-// MaxFrameBody + frameOverhead bytes (the server's 32 KiB reader is),
-// so any valid frame fits and Peek never fails on size. io.EOF is
+// MaxFrameBody bytes (newFrameReader's is; the server's 32 KiB reader
+// is), so any valid frame fits and Peek never fails on size. A hostile
+// length prefix is rejected before anything past it is read. io.EOF is
 // returned verbatim at a clean frame boundary; a stream truncated
 // mid-frame surfaces as io.ErrUnexpectedEOF.
 func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
@@ -306,6 +306,12 @@ func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
 	return f, nil
 }
 
+// newFrameReader wraps r in the smallest reader ReadFrameBuffered
+// accepts: one whole maximum-size frame, prefix included.
+func newFrameReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, lenPrefixSize+MaxFrameBody)
+}
+
 // frameBuffered reports whether a complete frame is already sitting in
 // br's buffer, so the next ReadFrameBuffered cannot block on the
 // socket. A buffered-but-invalid length prefix also reports true: the
@@ -320,41 +326,4 @@ func frameBuffered(br *bufio.Reader) bool {
 		return true
 	}
 	return br.Buffered() >= lenPrefixSize+n
-}
-
-// ReadFrame reads one frame from br, using scratch as the body buffer
-// (grown as needed, returned for reuse). The length prefix is validated
-// against MaxFrameBody before any body allocation. io.EOF is returned
-// verbatim at a clean frame boundary; a stream truncated mid-frame
-// surfaces as io.ErrUnexpectedEOF.
-func ReadFrame(br *bufio.Reader, scratch []byte) (Frame, []byte, error) {
-	var f Frame
-	var prefix [lenPrefixSize]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return f, scratch, fmt.Errorf("%w: truncated length prefix", ErrShortFrame)
-		}
-		return f, scratch, err
-	}
-	n := int(binary.BigEndian.Uint32(prefix[:]))
-	if n > MaxFrameBody {
-		return f, scratch, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
-	}
-	if n < frameOverhead {
-		return f, scratch, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
-	}
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(br, scratch); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return f, scratch, io.ErrUnexpectedEOF
-		}
-		return f, scratch, err
-	}
-	if err := decodeBody(&f, scratch); err != nil {
-		return f, scratch, err
-	}
-	return f, scratch, nil
 }

@@ -1,12 +1,12 @@
 package collectorsvc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/unroller/unroller/internal/dataplane"
@@ -14,7 +14,7 @@ import (
 )
 
 // TestFrameRoundTrip encodes every frame type and decodes it back, both
-// through DecodeFrame (buffer) and ReadFrame (stream).
+// through DecodeFrame (buffer) and ReadFrameBuffered (stream).
 func TestFrameRoundTrip(t *testing.T) {
 	ev := dataplane.LoopEvent{
 		Report:  detect.Report{Reporter: 0xDEADBEEF, Hops: 17},
@@ -54,13 +54,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		stream = append(stream, buf...)
 	}
 
-	// The same four frames back to back through the stream reader,
-	// sharing one scratch buffer.
-	br := bufio.NewReader(bytes.NewReader(stream))
-	var scratch []byte
+	// The same four frames back to back through the stream reader.
+	br := newFrameReader(bytes.NewReader(stream))
 	for i := range want {
-		var f Frame
-		f, scratch, err = ReadFrame(br, scratch)
+		f, err := ReadFrameBuffered(br)
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
@@ -68,7 +65,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("stream frame %d: got %+v want %+v", i, f, want[i])
 		}
 	}
-	if _, _, err := ReadFrame(br, scratch); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuffered(br); !errors.Is(err, io.EOF) {
 		t.Errorf("end of stream: got %v, want io.EOF", err)
 	}
 }
@@ -122,33 +119,47 @@ func TestDecodeFrameErrors(t *testing.T) {
 
 // TestReadFrameTruncation: a stream that dies mid-frame is
 // io.ErrUnexpectedEOF (transport), not a wire-format error — the server
-// must not count a connection kill as a bad frame.
+// must not count a connection kill as a bad frame. A stream that dies
+// inside the length prefix is a short frame, also not a wire error.
 func TestReadFrameTruncation(t *testing.T) {
 	buf := AppendTick(nil, 4)
 	for cut := 1; cut < len(buf); cut++ {
-		br := bufio.NewReader(bytes.NewReader(buf[:cut]))
-		_, _, err := ReadFrame(br, nil)
+		_, err := ReadFrameBuffered(newFrameReader(bytes.NewReader(buf[:cut])))
 		if err == nil {
 			t.Fatalf("cut %d: decoded a truncated frame", cut)
 		}
 		if isWireError(err) {
 			t.Errorf("cut %d: truncation classified as wire error: %v", cut, err)
 		}
+		if cut >= lenPrefixSize && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut %d: got %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
 }
 
 // TestReadFrameOversizeNoAlloc: a hostile length prefix is rejected
-// before the body buffer is grown.
+// without allocating anything near its claimed size.
 func TestReadFrameOversizeNoAlloc(t *testing.T) {
 	in := binary.BigEndian.AppendUint32(nil, 1<<30)
 	in = append(in, make([]byte, 64)...)
-	_, scratch, err := ReadFrame(bufio.NewReader(bytes.NewReader(in)), nil)
+	br := newFrameReader(bytes.NewReader(in))
+	var err error
+	n := allocBytes(func() { _, err = ReadFrameBuffered(br) })
 	if !errors.Is(err, ErrOversizeFrame) {
 		t.Fatalf("got %v, want ErrOversizeFrame", err)
 	}
-	if cap(scratch) > MaxFrameBody {
-		t.Errorf("scratch grew to %d for a rejected frame", cap(scratch))
+	if n >= MaxFrameBody {
+		t.Errorf("rejecting the frame allocated %d bytes", n)
 	}
+}
+
+// allocBytes reports the heap bytes allocated while f runs.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestAppendReportRejectsBadEvents: events the wire format cannot carry
