@@ -56,9 +56,10 @@
 #                 segment, and static FIB verifier targets (`-fuzz
 #                 Fuzz` would refuse to run because several targets
 #                 match, so each is invoked by exact name)
-#   bench smoke   one iteration of the traffic-engine and journal
-#                 append benchmarks (proof those paths stay runnable)
-#                 plus 2000-iteration collector-ingest (plain and
+#   bench smoke   100 ms of the traffic-engine (workers swept up to
+#                 GOMAXPROCS) and network-send benchmarks, one
+#                 iteration of journal append (proof that path stays
+#                 runnable), plus 2000-iteration collector-ingest (plain and
 #                 journaled) and cluster-ingest runs that ARE
 #                 measurements. The traffic-engine, collector-ingest,
 #                 and cluster-ingest lines are appended to the
@@ -124,9 +125,11 @@ go test -run '^$' -fuzz '^FuzzJournalSegment$' -fuzztime 10s ./internal/collecto
 echo "==> fuzz smoke (internal/verify static FIB classifier vs naive reference, 10s)"
 go test -run '^$' -fuzz '^FuzzVerifyFIB$' -fuzztime 10s ./internal/verify
 
-echo "==> bench smoke (traffic engine 1x + collector ingest 2000x, logged + gated)"
+echo "==> bench smoke (traffic engine 100ms + collector ingest 2000x, logged + gated)"
 bench_out="$vettool_dir/bench.out"
-go test -run '^$' -bench 'TrafficEngine|NetworkSend' -benchtime 1x . | tee "$bench_out"
+# The traffic-engine and network-send lines are logged, so each runs
+# 100 ms: at 1x a line is one ~300 µs batch, a sample of noise.
+go test -run '^$' -bench 'TrafficEngine|NetworkSend' -benchtime 100ms . | tee "$bench_out"
 # Collector ingest runs long enough to measure steady-state batching:
 # at 1x the number is dial + warmup noise, and the regression gate
 # below would compare garbage against garbage.

@@ -125,15 +125,5 @@ func (s *Switch) processCollect(p *Packet) (Decision, error) {
 		}
 		p.Telemetry = tel
 	}
-	port, ok := s.fib[p.Dst]
-	if !ok {
-		s.stats.noRoute.Add(1)
-		return Decision{Disposition: DropNoRoute}, nil
-	}
-	if !s.portUp[port] {
-		s.stats.linkDrops.Add(1)
-		return Decision{Disposition: DropLink}, nil
-	}
-	s.stats.forwarded.Add(1)
-	return Decision{Disposition: Forward, Egress: port}, nil
+	return s.forward(s.assign.Node(p.Dst)), nil
 }

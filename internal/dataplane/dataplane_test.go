@@ -108,7 +108,7 @@ func TestLoopDetectedAndDropped(t *testing.T) {
 	}
 	// Remove backups so detection drops instead of deflecting.
 	for node := 0; node < g.N(); node++ {
-		n.Switch(node).backup = map[detect.SwitchID]PortID{}
+		n.Switch(node).ClearBackups()
 	}
 	cycle := topology.Cycle{5, 6, 10, 9} // a unit square on the torus
 	if err := cycle.Validate(g); err != nil {
@@ -254,7 +254,7 @@ func TestEmulatorMatchesSimulator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for node := 0; node < g.N(); node++ {
-			n.Switch(node).backup = map[detect.SwitchID]PortID{}
+			n.Switch(node).ClearBackups()
 		}
 		tr, err := n.Send(sc.Path[0], dst, 1, 255, true)
 		if err != nil {

@@ -11,11 +11,13 @@ import (
 )
 
 // Network is an emulated data plane: one Switch per topology node,
-// destination-based FIBs, and a controller sink for loop reports.
+// destination-based FIBs (dense per-destination tables indexed through
+// the shared Assign), and a controller sink for loop reports.
 //
 // A Network is safe for concurrent Send calls once its routes are
-// installed: switch counters and link-load counters are atomic, and the
-// Controller sink is mutex-guarded. Route mutation (InstallShortestPaths,
+// installed: each call carries its own detector state and buffers, the
+// shared switch and link-load counters are atomic, and the Controller
+// sink is mutex-guarded. Route mutation (InstallShortestPaths,
 // InjectLoop, SetRoute, SetLoopPolicy, ResetLoad) must not race with
 // in-flight sends — configure first, then inject traffic, exactly like a
 // real network quiesces FIB updates.
@@ -25,6 +27,11 @@ type Network struct {
 
 	switches []*Switch
 	unroller *core.Unroller
+	// states lends detector state to Send, SendFlow and Switch.Process.
+	states *statePool
+	// fresh is the encoded header of a packet that has visited no
+	// switch yet — what every telemetry-carrying flow starts with.
+	fresh []byte
 
 	// Link-load accounting is dense and lock-free. Every undirected
 	// link {u, v} (u < v) gets an index into links, assigned in
@@ -83,15 +90,21 @@ func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config)
 	if err != nil {
 		return nil, err
 	}
+	fresh, err := u.NewPacketState().AppendHeader(nil)
+	if err != nil {
+		return nil, err
+	}
 	n := &Network{
 		Graph:      g,
 		Assign:     assign,
 		switches:   make([]*Switch, g.N()),
 		unroller:   u,
+		states:     newStatePool(u),
+		fresh:      fresh,
 		Controller: NewController(),
 	}
 	for node := 0; node < g.N(); node++ {
-		n.switches[node] = newSwitch(assign.ID(node), node, g.Neighbors(node), u)
+		n.switches[node] = newSwitch(node, g.Neighbors(node), assign, u, n.states)
 	}
 	n.indexLinks()
 	return n, nil
@@ -370,16 +383,20 @@ type TraceSummary struct {
 // sendScratch holds the per-in-flight-packet reusable state of the hop
 // loop: two wire buffers (each hop marshals into the buffer the packet
 // was not parsed from, so in-place telemetry rewrites never alias the
-// marshal destination), a telemetry seed buffer, the packet struct, and
-// — for engine workers — a private link-load accumulator.
+// marshal destination), a telemetry seed buffer, the packet struct, the
+// detector state every hop decodes into, and — for engine workers —
+// private link-load and switch-counter accumulators.
 type sendScratch struct {
 	wireA, wireB []byte
 	tel          []byte
 	pkt          Packet
-	// loads, when non-nil, receives link traversals instead of the
-	// shared atomic counters; the owner merges it via mergeLoads once
-	// its batch completes.
-	loads []uint64
+	st           *core.State
+	// loads and tallies, when non-nil, receive link traversals and
+	// switch counts (indexed by link and by node) instead of the shared
+	// atomic counters; the owner folds them in via drain once its batch
+	// completes.
+	loads   []uint64
+	tallies []tally
 	// dedup is the per-flow report-dedup window (see DedupWindow); it is
 	// reset at the start of every journey.
 	dedup DedupWindow
@@ -392,10 +409,12 @@ type sendScratch struct {
 // safe to call concurrently on a shared network (see the Network
 // contract).
 func (n *Network) Send(src, dst int, flow uint32, ttl uint8, withTelemetry bool) (*Trace, error) {
-	var sc sendScratch
+	sc := sendScratch{st: n.states.get()}
 	tr := &Trace{}
 	f := Flow{Src: src, Dst: dst, ID: flow, TTL: ttl, Telemetry: withTelemetry}
-	if _, err := n.send(&sc, f, tr); err != nil {
+	_, err := n.send(&sc, f, tr)
+	n.states.put(sc.st)
+	if err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -405,8 +424,10 @@ func (n *Network) Send(src, dst int, flow uint32, ttl uint8, withTelemetry bool)
 // allocation-lean path TrafficEngine workers use, exposed for callers
 // that do not need per-hop traces.
 func (n *Network) SendFlow(f Flow) (TraceSummary, error) {
-	var sc sendScratch
-	return n.send(&sc, f, nil)
+	sc := sendScratch{st: n.states.get()}
+	sum, err := n.send(&sc, f, nil)
+	n.states.put(sc.st)
+	return sum, err
 }
 
 // send is the hop loop shared by Send (tr != nil: full trace) and the
@@ -414,7 +435,7 @@ func (n *Network) SendFlow(f Flow) (TraceSummary, error) {
 // reused across hops and, for engine workers, across flows: after the
 // first few hops warm the two wire buffers, a forwarding hop performs no
 // heap allocation in this loop (the telemetry re-encode in
-// Switch.Process writes in place via AppendHeader(p.Telemetry[:0])).
+// Switch.process writes in place via AppendHeader(p.Telemetry[:0])).
 func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error) {
 	sum := TraceSummary{Flow: f.ID, Src: f.Src, Dst: f.Dst, Telemetry: f.Telemetry}
 	if f.Src < 0 || f.Src >= n.Graph.N() || f.Dst < 0 || f.Dst >= n.Graph.N() {
@@ -428,12 +449,8 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		Dst:  n.Assign.ID(f.Dst),
 	}
 	if f.Telemetry {
-		tel, err := n.unroller.NewPacketState().AppendHeader(sc.tel[:0])
-		if err != nil {
-			return sum, err
-		}
-		sc.tel = tel
-		p.Telemetry = tel
+		sc.tel = append(sc.tel[:0], n.fresh...)
+		p.Telemetry = sc.tel
 	}
 	sc.dedup.Reset()
 	cur := f.Src
@@ -467,7 +484,12 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		if n.OnHop != nil {
 			n.OnHop(cur, sw.ID, p)
 		}
-		dec, err := sw.Process(p)
+		dec, err := sw.process(p, sc.st)
+		if sc.tallies != nil {
+			sc.tallies[cur].count(dec, err)
+		} else {
+			sw.count(dec, err)
+		}
 		if err != nil {
 			if tainted {
 				sum.Final = DropCorrupt
@@ -546,15 +568,21 @@ func (n *Network) SetLoopPolicy(a LoopAction) {
 	}
 }
 
-// mergeLoads folds a per-worker link-load accumulator into the shared
-// counters. uint64 addition commutes, so the merged totals are identical
-// regardless of worker scheduling — the determinism the per-worker
-// sharding must preserve.
-func (n *Network) mergeLoads(loads []uint64) {
-	for i, c := range loads {
+// drain folds a worker's private link loads and switch tallies into the
+// shared counters and zeroes them for the worker's next batch. uint64
+// addition commutes, so the merged totals are identical regardless of
+// worker scheduling — the determinism the per-worker sharding must
+// preserve.
+func (n *Network) drain(sc *sendScratch) {
+	for i, c := range sc.loads {
 		if c != 0 {
 			n.linkLoad[i].Add(c)
+			sc.loads[i] = 0
 		}
+	}
+	for node := range sc.tallies {
+		n.switches[node].stats.add(&sc.tallies[node])
+		sc.tallies[node] = tally{}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/unroller/unroller/internal/core"
 	"github.com/unroller/unroller/internal/detect"
+	"github.com/unroller/unroller/internal/topology"
 )
 
 // PortID indexes a switch's ports (its position in the adjacency list).
@@ -104,11 +105,16 @@ type Switch struct {
 	// otherwise.
 	LoopPolicy LoopAction
 
-	// fib maps destination switch ID to egress port.
-	fib map[detect.SwitchID]PortID
-	// backup maps destination switch ID to an alternate egress used
-	// after a loop report; absent entries mean "drop on loop".
-	backup map[detect.SwitchID]PortID
+	// fib[d] is the egress port towards the destination at topology
+	// node d, or -1 for no route. backup[d] is the alternate egress used
+	// after a loop report, or -1 for "drop on loop". Each table is nil
+	// until its first install, so an unrouted switch costs nothing.
+	fib    []int32
+	backup []int32
+	// assign resolves a packet's destination identifier to the node
+	// index the tables are keyed by; every switch of a network shares
+	// it.
+	assign *topology.Assignment
 	// neighbors[p] is the node index reachable through port p.
 	neighbors []int
 	// portUp[p] mirrors the physical state of the link behind port p.
@@ -122,9 +128,9 @@ type Switch struct {
 	unroller *core.Unroller
 	phaseLUT []bool
 
-	// states recycles per-packet detector state across Process calls;
-	// DecodeHeaderInto overwrites every field, so reuse is invisible to
-	// the pipeline.
+	// states lends per-packet detector state to Process; the network's
+	// hop loop passes its own state instead. DecodeHeaderInto
+	// overwrites every field, so reuse is invisible to the pipeline.
 	states *statePool
 
 	// stats are the live counters, mirroring what a P4 target would
@@ -132,10 +138,10 @@ type Switch struct {
 	stats switchCounters
 }
 
-// statePool recycles *core.State values so the hot hop loop does not
-// allocate a fresh state (struct plus two slices) per decode. It is a
-// thin typed wrapper over sync.Pool; the Get-side type assertion lives
-// here, outside any hotpath-tagged function body.
+// statePool recycles *core.State values so Process does not allocate a
+// fresh state (struct plus two slices) per decode. It is a thin typed
+// wrapper over sync.Pool; the Get-side type assertion lives here,
+// outside any hotpath-tagged function body.
 type statePool struct {
 	pool sync.Pool
 }
@@ -162,21 +168,82 @@ type SwitchStats struct {
 	Restarts  uint64
 }
 
-// switchCounters are the live per-switch counters. They are updated
-// atomically so parallel Send calls and TrafficEngine workers can share
-// switches without locks: each field is an independent statistic, so
-// per-field atomicity is the exact semantics a hardware counter array
-// has.
-type switchCounters struct {
-	received  atomic.Uint64
-	forwarded atomic.Uint64
-	delivered atomic.Uint64
-	ttlDrops  atomic.Uint64
-	noRoute   atomic.Uint64
-	loopHits  atomic.Uint64
-	reroutes  atomic.Uint64
-	linkDrops atomic.Uint64
-	restarts  atomic.Uint64
+// Counter indices into a tally and a switchCounters, one per
+// SwitchStats field.
+const (
+	cntReceived = iota
+	cntForwarded
+	cntDelivered
+	cntTTLDrops
+	cntNoRoute
+	cntLoopHits
+	cntReroutes
+	cntLinkDrops
+	cntRestarts
+	numCounters
+)
+
+// dispCounter is the counter each disposition bumps, -1 for none:
+// DropLoop is counted through its report (see tally.count), and Process
+// never returns DropCorrupt.
+var dispCounter = [NumDispositions]int8{
+	Forward:     cntForwarded,
+	Deliver:     cntDelivered,
+	DropTTL:     cntTTLDrops,
+	DropNoRoute: cntNoRoute,
+	DropLoop:    -1,
+	RerouteLoop: cntReroutes,
+	DropLink:    cntLinkDrops,
+	DropCorrupt: -1,
+}
+
+// tally is one switch's counters as plain integers. TrafficEngine
+// workers keep one per switch and merge them into the shared
+// switchCounters when they drain their batch.
+type tally [numCounters]uint64
+
+// count derives the counters one pipeline run bumps from its outcome —
+// the only place a Decision turns into counts. Every run is received; a
+// failed one counts nothing else. A loop hit is a report raised by the
+// detector; a collection lap closing (a report carrying Members)
+// re-reports a loop already counted, so it is not a new hit.
+//
+//unroller:hotpath
+func (t *tally) count(dec Decision, err error) {
+	t[cntReceived]++
+	if err != nil {
+		return
+	}
+	if c := dispCounter[dec.Disposition]; c >= 0 {
+		t[c]++
+	}
+	if dec.LoopReport != nil && dec.Members == nil {
+		t[cntLoopHits]++
+	}
+}
+
+// switchCounters are the live per-switch counters, one atomic per
+// SwitchStats field, so concurrent Send calls can share switches without
+// locks: each field is an independent statistic, so per-field atomicity
+// is the exact semantics a hardware counter array has. Send, SendFlow
+// and Process add one pipeline run at a time; TrafficEngine workers add
+// a whole batch's tally when they drain.
+type switchCounters [numCounters]atomic.Uint64
+
+// add folds t into the counters.
+func (c *switchCounters) add(t *tally) {
+	for i, v := range t {
+		if v != 0 {
+			c[i].Add(v)
+		}
+	}
+}
+
+// count adds one pipeline run's outcome to the switch's counters.
+func (s *Switch) count(dec Decision, err error) {
+	var t tally
+	t.count(dec, err)
+	s.stats.add(&t)
 }
 
 // Stats returns a snapshot of the switch's counters. Each field is read
@@ -185,74 +252,109 @@ type switchCounters struct {
 // the snapshot is exact.
 func (s *Switch) Stats() SwitchStats {
 	return SwitchStats{
-		Received:  s.stats.received.Load(),
-		Forwarded: s.stats.forwarded.Load(),
-		Delivered: s.stats.delivered.Load(),
-		TTLDrops:  s.stats.ttlDrops.Load(),
-		NoRoute:   s.stats.noRoute.Load(),
-		LoopHits:  s.stats.loopHits.Load(),
-		Reroutes:  s.stats.reroutes.Load(),
-		LinkDrops: s.stats.linkDrops.Load(),
-		Restarts:  s.stats.restarts.Load(),
+		Received:  s.stats[cntReceived].Load(),
+		Forwarded: s.stats[cntForwarded].Load(),
+		Delivered: s.stats[cntDelivered].Load(),
+		TTLDrops:  s.stats[cntTTLDrops].Load(),
+		NoRoute:   s.stats[cntNoRoute].Load(),
+		LoopHits:  s.stats[cntLoopHits].Load(),
+		Reroutes:  s.stats[cntReroutes].Load(),
+		LinkDrops: s.stats[cntLinkDrops].Load(),
+		Restarts:  s.stats[cntRestarts].Load(),
 	}
 }
 
 // newSwitch wires a switch for the given node.
-func newSwitch(id detect.SwitchID, node int, neighbors []int, u *core.Unroller) *Switch {
+func newSwitch(node int, neighbors []int, assign *topology.Assignment, u *core.Unroller, states *statePool) *Switch {
 	up := make([]bool, len(neighbors))
 	for i := range up {
 		up[i] = true
 	}
 	return &Switch{
-		ID:         id,
+		ID:         assign.ID(node),
 		Node:       node,
 		LoopPolicy: ActionReroute, // deflect when a backup exists, else drop
-		fib:        make(map[detect.SwitchID]PortID),
-		backup:     make(map[detect.SwitchID]PortID),
+		assign:     assign,
 		neighbors:  neighbors,
 		portUp:     up,
 		unroller:   u,
 		phaseLUT:   core.PhaseStartTable(u.Config(), 256),
-		states:     newStatePool(u),
+		states:     states,
 	}
 }
 
-// SetRoute installs dst→port in the FIB.
-func (s *Switch) SetRoute(dst detect.SwitchID, port PortID) error {
-	if int(port) < 0 || int(port) >= len(s.neighbors) {
-		return fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
+// next returns a table's port for the destination at node dst, or -1
+// when the table has none — also for dst = -1 (an identifier outside
+// the assignment) and for a table never allocated.
+//
+//unroller:hotpath
+func next(table []int32, dst int) int32 {
+	if uint(dst) >= uint(len(table)) {
+		return -1
 	}
-	s.fib[dst] = port
-	return nil
+	return table[dst]
+}
+
+// install sets table's entry for dst to port, allocating the table on
+// first use, and returns the table.
+func (s *Switch) install(table []int32, dst detect.SwitchID, port PortID) ([]int32, error) {
+	if int(port) < 0 || int(port) >= len(s.neighbors) {
+		return table, fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
+	}
+	node := s.assign.Node(dst)
+	if node < 0 {
+		return table, fmt.Errorf("dataplane: %v: destination %v is not a switch of the network", s.ID, dst)
+	}
+	if table == nil {
+		table = make([]int32, s.assign.Len())
+		for i := range table {
+			table[i] = -1
+		}
+	}
+	table[node] = int32(port)
+	return table, nil
+}
+
+// SetRoute installs dst→port in the FIB. dst must identify a switch of
+// the network.
+func (s *Switch) SetRoute(dst detect.SwitchID, port PortID) error {
+	fib, err := s.install(s.fib, dst, port)
+	s.fib = fib
+	return err
 }
 
 // SetBackup installs an alternate egress for dst used after a loop
-// report.
+// report. dst must identify a switch of the network.
 func (s *Switch) SetBackup(dst detect.SwitchID, port PortID) error {
-	if int(port) < 0 || int(port) >= len(s.neighbors) {
-		return fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
-	}
-	s.backup[dst] = port
-	return nil
+	backup, err := s.install(s.backup, dst, port)
+	s.backup = backup
+	return err
 }
 
 // ClearBackups removes every backup route, reverting the switch to the
 // paper's base behaviour: drop and report on detection.
-func (s *Switch) ClearBackups() { s.backup = make(map[detect.SwitchID]PortID) }
+func (s *Switch) ClearBackups() { s.backup = nil }
 
 // ClearRoute withdraws the FIB entry for dst (a route withdrawal from
 // the control plane); subsequent dst-bound packets drop as no-route.
 func (s *Switch) ClearRoute(dst detect.SwitchID) {
-	delete(s.fib, dst)
-	delete(s.backup, dst)
+	node := s.assign.Node(dst)
+	if next(s.fib, node) >= 0 {
+		s.fib[node] = -1
+	}
+	if next(s.backup, node) >= 0 {
+		s.backup[node] = -1
+	}
 }
 
 // Routes returns a copy of the FIB — the snapshot a scenario captures
 // before a restart so recovery can reinstall the exact same state.
 func (s *Switch) Routes() map[detect.SwitchID]PortID {
-	out := make(map[detect.SwitchID]PortID, len(s.fib))
-	for dst, p := range s.fib {
-		out[dst] = p
+	out := make(map[detect.SwitchID]PortID)
+	for node, port := range s.fib {
+		if port >= 0 {
+			out[s.assign.ID(node)] = PortID(port)
+		}
 	}
 	return out
 }
@@ -265,15 +367,18 @@ func (s *Switch) Routes() map[detect.SwitchID]PortID {
 // external observability, so both are kept. Restart must not race with
 // in-flight sends, like all route mutation.
 func (s *Switch) Restart() {
-	s.fib = make(map[detect.SwitchID]PortID)
-	s.backup = make(map[detect.SwitchID]PortID)
-	s.stats.restarts.Add(1)
+	s.fib, s.backup = nil, nil
+	s.stats[cntRestarts].Add(1)
 }
 
-// Route returns the FIB entry for dst.
+// Route returns the FIB entry for dst; an identifier outside the
+// network has none.
 func (s *Switch) Route(dst detect.SwitchID) (PortID, bool) {
-	p, ok := s.fib[dst]
-	return p, ok
+	port := next(s.fib, s.assign.Node(dst))
+	if port < 0 {
+		return 0, false
+	}
+	return PortID(port), true
 }
 
 // Ports returns the number of ports.
@@ -287,17 +392,27 @@ func (s *Switch) Peer(p PortID) int { return s.neighbors[p] }
 // and bump Xcnt via Visit, (2)–(3) hash, compare, and update the stored
 // identifiers, (4) on a match report to the controller and drop — or
 // deflect to the backup port when one is installed — then deparse and
-// forward by FIB.
+// forward by FIB. A destination outside the network has no route.
 //
 //unroller:hotpath
 func (s *Switch) Process(p *Packet) (Decision, error) {
-	s.stats.received.Add(1)
+	st := s.states.get()
+	dec, err := s.process(p, st)
+	s.states.put(st)
+	s.count(dec, err)
+	return dec, err
+}
 
+// process is Process without the counters, decoding into st — the
+// detector state the caller lends for this run. The network's hop loop
+// passes its worker's own state and counts the outcome itself.
+//
+//unroller:hotpath
+func (s *Switch) process(p *Packet, st *core.State) (Decision, error) {
 	// Collection-mode packets circulate the loop to record membership;
 	// they never deliver.
 	if p.Flags&FlagCollect != 0 {
 		if p.TTL == 0 {
-			s.stats.ttlDrops.Add(1)
 			return Decision{Disposition: DropTTL}, nil
 		}
 		p.TTL--
@@ -306,35 +421,29 @@ func (s *Switch) Process(p *Packet) (Decision, error) {
 
 	// Destination check precedes everything: the last hop delivers.
 	if p.Dst == s.ID {
-		s.stats.delivered.Add(1)
 		return Decision{Disposition: Deliver}, nil
 	}
 
 	// TTL: decrement and drop at zero, the loss Unroller preempts.
 	if p.TTL == 0 {
-		s.stats.ttlDrops.Add(1)
 		return Decision{Disposition: DropTTL}, nil
 	}
 	p.TTL--
 
+	dst := s.assign.Node(p.Dst)
+
 	// Unroller control block over the in-band header.
-	var report *detect.Report
 	if len(p.Telemetry) > 0 {
-		st, err := s.decodeTelemetry(p)
-		if err != nil {
+		if err := s.decodeTelemetry(p, st); err != nil {
 			//unroller:allow hotpath -- malformed-header path: the packet is already dead
 			return Decision{}, fmt.Errorf("dataplane: %v: %w", s.ID, err)
 		}
-		verdict := st.Visit(s.ID)
-		if verdict == detect.Loop {
-			s.stats.loopHits.Add(1)
+		if st.Visit(s.ID) == detect.Loop {
 			//unroller:allow hotpath -- fires once per detected loop, not per hop
-			report = &detect.Report{Reporter: s.ID, Hops: int(st.Hops())}
-			s.states.put(st)
-			return s.reactToLoop(p, report)
+			report := &detect.Report{Reporter: s.ID, Hops: int(st.Hops())}
+			return s.reactToLoop(p, dst, report)
 		}
 		tel, err := st.AppendHeader(p.Telemetry[:0])
-		s.states.put(st)
 		if err != nil {
 			//unroller:allow hotpath -- encode failure path: the packet is already dead
 			return Decision{}, fmt.Errorf("dataplane: %v: re-encode: %w", s.ID, err)
@@ -343,50 +452,49 @@ func (s *Switch) Process(p *Packet) (Decision, error) {
 	}
 
 	// Destination-based forwarding.
-	port, ok := s.fib[p.Dst]
-	if !ok {
-		s.stats.noRoute.Add(1)
-		return Decision{Disposition: DropNoRoute, LoopReport: report}, nil
-	}
-	if !s.portUp[port] {
-		s.stats.linkDrops.Add(1)
-		return Decision{Disposition: DropLink, LoopReport: report}, nil
-	}
-	s.stats.forwarded.Add(1)
-	return Decision{Disposition: Forward, Egress: port, LoopReport: report}, nil
+	return s.forward(dst), nil
 }
 
-// decodeTelemetry parses the packet's Unroller header, deriving the hop
-// counter from the TTL when the configuration elides it (footnote 3 of
-// the paper). TTL-derived counting requires packets injected with
-// InitialTTL; Process has already decremented the TTL for this hop, so
-// the pre-Visit hop count is InitialTTL − TTL − 1.
+// forward is the FIB stage: the decision for a packet towards the
+// destination at node dst.
+//
+//unroller:hotpath
+func (s *Switch) forward(dst int) Decision {
+	port := next(s.fib, dst)
+	switch {
+	case port < 0:
+		return Decision{Disposition: DropNoRoute}
+	case !s.portUp[port]:
+		return Decision{Disposition: DropLink}
+	default:
+		return Decision{Disposition: Forward, Egress: PortID(port)}
+	}
+}
+
+// decodeTelemetry parses the packet's Unroller header into st, deriving
+// the hop counter from the TTL when the configuration elides it
+// (footnote 3 of the paper). TTL-derived counting requires packets
+// injected with InitialTTL; Process has already decremented the TTL for
+// this hop, so the pre-Visit hop count is InitialTTL − TTL − 1.
 //
 //unroller:allow errctx -- Process wraps every return as "dataplane: <switch>: %w"
-func (s *Switch) decodeTelemetry(p *Packet) (*core.State, error) {
-	st := s.states.get()
-	var err error
+func (s *Switch) decodeTelemetry(p *Packet, st *core.State) error {
 	switch {
 	case !s.unroller.Config().TTLHopCount:
-		err = s.unroller.DecodeHeaderInto(st, p.Telemetry)
+		return s.unroller.DecodeHeaderInto(st, p.Telemetry)
 	case p.TTL >= InitialTTL:
-		err = fmt.Errorf("TTL %d inconsistent with TTL-derived hop counting (initial %d)", p.TTL, InitialTTL)
+		return fmt.Errorf("TTL %d inconsistent with TTL-derived hop counting (initial %d)", p.TTL, InitialTTL)
 	default:
-		err = s.unroller.DecodeHeaderAtInto(st, p.Telemetry, uint64(InitialTTL)-uint64(p.TTL)-1)
+		return s.unroller.DecodeHeaderAtInto(st, p.Telemetry, uint64(InitialTTL)-uint64(p.TTL)-1)
 	}
-	if err != nil {
-		s.states.put(st)
-		return nil, err
-	}
-	return st, nil
 }
 
-// reactToLoop applies the switch's loop policy to a packet on which the
-// Unroller logic just fired.
-func (s *Switch) reactToLoop(p *Packet, report *detect.Report) (Decision, error) {
+// reactToLoop applies the switch's loop policy to a packet towards the
+// destination at node dst on which the Unroller logic just fired.
+func (s *Switch) reactToLoop(p *Packet, dst int, report *detect.Report) (Decision, error) {
 	switch s.LoopPolicy {
 	case ActionReroute:
-		if bp, ok := s.backup[p.Dst]; ok && s.portUp[bp] {
+		if bp := next(s.backup, dst); bp >= 0 && s.portUp[bp] {
 			// Deflect: reset the telemetry so the detector
 			// restarts on the new route.
 			fresh := s.unroller.NewPacketState()
@@ -395,14 +503,13 @@ func (s *Switch) reactToLoop(p *Packet, report *detect.Report) (Decision, error)
 				return Decision{}, err
 			}
 			p.Telemetry = tel
-			s.stats.reroutes.Add(1)
-			return Decision{Disposition: RerouteLoop, Egress: bp, LoopReport: report}, nil
+			return Decision{Disposition: RerouteLoop, Egress: PortID(bp), LoopReport: report}, nil
 		}
 	case ActionCollect:
 		// Tag the packet for one recording lap (§3.5); it keeps
 		// following the looping FIB and returns here with the full
 		// membership.
-		if port, ok := s.fib[p.Dst]; ok && s.portUp[port] {
+		if port := next(s.fib, dst); port >= 0 && s.portUp[port] {
 			rec := collectRecord{Initiator: s.ID}
 			tel, err := rec.marshal()
 			if err != nil {
@@ -410,8 +517,7 @@ func (s *Switch) reactToLoop(p *Packet, report *detect.Report) (Decision, error)
 			}
 			p.Telemetry = tel
 			p.Flags |= FlagCollect
-			s.stats.forwarded.Add(1)
-			return Decision{Disposition: Forward, Egress: port, LoopReport: report}, nil
+			return Decision{Disposition: Forward, Egress: PortID(port), LoopReport: report}, nil
 		}
 	case ActionDrop:
 		// fall through to the drop below

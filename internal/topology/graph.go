@@ -172,6 +172,9 @@ func NewAssignment(g *Graph, rng *xrand.Rand) *Assignment {
 	return a
 }
 
+// Len returns the number of nodes the assignment covers.
+func (a *Assignment) Len() int { return len(a.ids) }
+
 // ID returns the identifier of node u.
 func (a *Assignment) ID(u int) detect.SwitchID { return a.ids[u] }
 
