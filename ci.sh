@@ -50,7 +50,12 @@
 #                 confusion matrices identical at every worker count —
 #                 plus the multi-seed property sweep (Theorem 1 bound
 #                 on every confirmed detection, incremental FIB mirror
-#                 ≡ from-scratch snapshot at every epoch)
+#                 ≡ from-scratch snapshot at every epoch), and the
+#                 internal/verify oracle tests: incremental truth ≡ a
+#                 full classification of a fresh snapshot at every
+#                 epoch of a torus churn run (route deltas, link flap,
+#                 restart), report reuse for untouched destinations,
+#                 and a Clear for an unknown destination as a no-op
 #   fuzz smoke    5s of each bitpack fuzz target and 10s each of the
 #                 packet wire-format, collector report-frame, journal
 #                 segment, and static FIB verifier targets (`-fuzz
@@ -106,8 +111,8 @@ go test -race -run 'TestCollectordKillRecover|TestRun' -count 1 ./cmd/unroller-c
 echo "==> cluster e2e under race (3 nodes, node kill + asymmetric partition, reshard, exactly-once cluster-wide)"
 go test -race -run 'TestCluster|TestAgents|TestAsymmetric|TestFullPartition' -count 1 ./internal/cluster
 
-echo "==> oracle gate under race (every scenario x 1/4/16 workers + multi-seed property sweep)"
-go test -race -run 'TestOracle' -count 1 ./internal/scenario
+echo "==> oracle gate under race (every scenario x 1/4/16 workers + multi-seed property sweep + incremental truth)"
+go test -race -run 'TestOracle' -count 1 ./internal/scenario ./internal/verify
 
 echo "==> fuzz smoke (internal/bitpack, 5s per target)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/bitpack

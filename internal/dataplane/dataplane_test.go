@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -169,7 +170,9 @@ func TestLoopWithoutTelemetryDiesByTTL(t *testing.T) {
 }
 
 // TestRerouteOnDetect: with backup ports installed, the packet escapes
-// the loop and still reaches the destination.
+// the loop and still reaches the destination, leaving the deflecting
+// switch with exactly the header of a packet that has visited no switch,
+// so detection restarts on the new route.
 func TestRerouteOnDetect(t *testing.T) {
 	g, _ := topology.Torus(4, 4)
 	n := buildNet(t, g, core.DefaultConfig(), 4)
@@ -181,14 +184,28 @@ func TestRerouteOnDetect(t *testing.T) {
 	if err := n.InjectLoop(dst, cycle); err != nil {
 		t.Fatal(err)
 	}
+	fresh, err := n.Unroller().NewPacketState().AppendHeader(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived [][]byte // telemetry at each hop's arrival
+	n.OnHop = func(_ int, _ detect.SwitchID, p *Packet) {
+		arrived = append(arrived, append([]byte(nil), p.Telemetry...))
+	}
 	delivered := false
 	for _, src := range []int{5, 6, 10, 9} { // start inside the loop
 		if delivered {
 			break
 		}
+		arrived = arrived[:0]
 		tr, err := n.Send(src, dst, uint32(src), 255, true)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, h := range tr.Hops {
+			if h.Decision.Disposition == RerouteLoop && !bytes.Equal(arrived[i+1], fresh) {
+				t.Errorf("src %d: telemetry after the deflection at hop %d = %x, want a fresh header %x", src, i+1, arrived[i+1], fresh)
+			}
 		}
 		if tr.Rerouted && tr.Final == Deliver {
 			delivered = true

@@ -104,7 +104,7 @@ func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config)
 		Controller: NewController(),
 	}
 	for node := 0; node < g.N(); node++ {
-		n.switches[node] = newSwitch(node, g.Neighbors(node), assign, u, n.states)
+		n.switches[node] = newSwitch(node, g.Neighbors(node), assign, u, n.states, fresh)
 	}
 	n.indexLinks()
 	return n, nil

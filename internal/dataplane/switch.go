@@ -127,6 +127,10 @@ type Switch struct {
 	// switches); phaseLUT mirrors the hardware's lookup-table register.
 	unroller *core.Unroller
 	phaseLUT []bool
+	// fresh is the network's encoded header of a packet that has visited
+	// no switch yet (shared, read-only); a deflection restarts detection
+	// by copying it into the packet.
+	fresh []byte
 
 	// states lends per-packet detector state to Process; the network's
 	// hop loop passes its own state instead. DecodeHeaderInto
@@ -265,7 +269,7 @@ func (s *Switch) Stats() SwitchStats {
 }
 
 // newSwitch wires a switch for the given node.
-func newSwitch(node int, neighbors []int, assign *topology.Assignment, u *core.Unroller, states *statePool) *Switch {
+func newSwitch(node int, neighbors []int, assign *topology.Assignment, u *core.Unroller, states *statePool, fresh []byte) *Switch {
 	up := make([]bool, len(neighbors))
 	for i := range up {
 		up[i] = true
@@ -279,6 +283,7 @@ func newSwitch(node int, neighbors []int, assign *topology.Assignment, u *core.U
 		portUp:     up,
 		unroller:   u,
 		phaseLUT:   core.PhaseStartTable(u.Config(), 256),
+		fresh:      fresh,
 		states:     states,
 	}
 }
@@ -380,6 +385,20 @@ func (s *Switch) Route(dst detect.SwitchID) (PortID, bool) {
 	}
 	return PortID(port), true
 }
+
+// NextNode returns the node the FIB forwards traffic for the
+// destination at node d to, or -1 when it has no route — the FIB read in
+// topology space, with no identifier lookups.
+func (s *Switch) NextNode(d int) int {
+	port := next(s.fib, d)
+	if port < 0 {
+		return -1
+	}
+	return s.neighbors[port]
+}
+
+// PortUp reports whether the link behind port p is up.
+func (s *Switch) PortUp(p PortID) bool { return s.portUp[p] }
 
 // Ports returns the number of ports.
 func (s *Switch) Ports() int { return len(s.neighbors) }
@@ -497,12 +516,7 @@ func (s *Switch) reactToLoop(p *Packet, dst int, report *detect.Report) (Decisio
 		if bp := next(s.backup, dst); bp >= 0 && s.portUp[bp] {
 			// Deflect: reset the telemetry so the detector
 			// restarts on the new route.
-			fresh := s.unroller.NewPacketState()
-			tel, err := fresh.AppendHeader(nil)
-			if err != nil {
-				return Decision{}, err
-			}
-			p.Telemetry = tel
+			p.Telemetry = append(p.Telemetry[:0], s.fresh...)
 			return Decision{Disposition: RerouteLoop, Egress: PortID(bp), LoopReport: report}, nil
 		}
 	case ActionCollect:

@@ -12,14 +12,18 @@ import (
 // This file binds the static verifier to a live churn run. Two pieces:
 //
 //   - Mirror tracks a dataplane.Network's forwarding state incrementally
-//     through the same FaultEvents the network applies, so ground truth
-//     at an epoch boundary costs O(faults) to maintain instead of an
-//     O(n²) FIB scan — and, because an oracle that silently drifts is
-//     worse than none, it cross-checks itself against a from-scratch
-//     snapshot at every epoch.
+//     through the same FaultEvents the network applies. Each event costs
+//     O(1) per route update and O(n) per link flip or restart, and marks
+//     the destinations whose walks it can change dirty, so an epoch's
+//     ground truth costs one O(n) ClassifyDst per dirty destination
+//     rather than a classification of all n. Because an oracle that
+//     silently drifts is worse than none, the oracle still cross-checks
+//     the mirror against a full from-scratch O(n²) snapshot of the
+//     network at every epoch.
 //   - Oracle implements dataplane.ChurnObserver: at each quiesced epoch
-//     boundary it classifies the mirrored state (the exact looping
-//     (destination, start) pairs), then reconciles each flow's
+//     boundary it reclassifies the mirrored state (the exact looping
+//     (destination, start) pairs), reusing the previous epoch's report
+//     for every clean destination, then reconciles each flow's
 //     TraceSummary against that truth into a per-epoch confusion
 //     matrix, replays a baseline detector over the same static walks,
 //     and checks every confirmed detection against Theorem 1's bound.
@@ -40,22 +44,26 @@ type Mirror struct {
 // SnapshotState builds a State from the network's live FIBs and link
 // states — the from-scratch reference the incremental mirror must match.
 func SnapshotState(net *dataplane.Network) *State {
-	n := net.Graph.N()
-	s := NewState(n)
+	s := NewState(net.Graph.N())
+	snapshotInto(s, net)
+	return s
+}
+
+// snapshotInto overwrites every route and every link entry of s, a
+// State over the network's nodes, with the network's live state. Only
+// entries between neighbours are written: the network has no other
+// links, so the rest keep NewState's "up". Dirty marks are left alone.
+func snapshotInto(s *State, net *dataplane.Network) {
+	n := s.n
 	for u := 0; u < n; u++ {
 		sw := net.Switch(u)
 		for d := 0; d < n; d++ {
-			if port, ok := sw.Route(net.Assign.ID(d)); ok {
-				s.SetNext(d, u, sw.Peer(port))
-			}
+			s.next[d*n+u] = int32(sw.NextNode(d))
 		}
-		for _, v := range net.Graph.Neighbors(u) {
-			if !net.LinkIsUp(u, v) {
-				s.SetLink(u, v, false)
-			}
+		for p, v := range net.Graph.Neighbors(u) {
+			s.down[u*n+v] = !sw.PortUp(dataplane.PortID(p))
 		}
 	}
-	return s
 }
 
 // NewMirror snapshots the network's current state as the mirror's
@@ -85,6 +93,11 @@ func (m *Mirror) Apply(ev dataplane.FaultEvent) error {
 		for _, ru := range ev.Routes {
 			d := m.net.Assign.Node(ru.Dst)
 			if d < 0 {
+				if ru.Clear {
+					// The network has no entry to withdraw either: a
+					// no-op there, so a no-op here.
+					continue
+				}
 				return fmt.Errorf("verify: route update for unknown destination %v", ru.Dst)
 			}
 			if ru.Clear {
@@ -212,6 +225,9 @@ type Oracle struct {
 	taint       bool
 	epochs      []*epochState
 	divergences []string
+	// snap is the scratch State each epoch's from-scratch snapshot is
+	// rebuilt into.
+	snap *State
 
 	finalized  bool
 	matrices   []Matrix
@@ -226,6 +242,7 @@ func NewOracle(net *dataplane.Network, seed uint64, baseline detect.Detector) *O
 	return &Oracle{
 		net:      net,
 		mirror:   NewMirror(net),
+		snap:     NewState(net.Graph.N()),
 		seed:     seed,
 		base:     net.Unroller().Config().Base,
 		baseline: baseline,
@@ -234,7 +251,9 @@ func NewOracle(net *dataplane.Network, seed uint64, baseline detect.Detector) *O
 
 // EpochStart implements dataplane.ChurnObserver: fold the epoch's faults
 // into the mirror, cross-check it against a from-scratch snapshot, and
-// classify the static truth the epoch's traffic will run under.
+// classify the static truth the epoch's traffic will run under —
+// afresh for the destinations the faults touched, shared with the
+// previous epoch for the rest.
 func (o *Oracle) EpochStart(epoch int, events []dataplane.FaultEvent) error {
 	for _, ev := range events {
 		if err := o.mirror.Apply(ev); err != nil {
@@ -244,11 +263,15 @@ func (o *Oracle) EpochStart(epoch int, events []dataplane.FaultEvent) error {
 			o.taint = ev.Prob > 0
 		}
 	}
-	if snap := SnapshotState(o.net); !o.mirror.State().Equal(snap) {
+	if snapshotInto(o.snap, o.net); !o.mirror.State().Equal(o.snap) {
 		o.divergences = append(o.divergences, fmt.Sprintf(
 			"epoch %d: incremental mirror diverged from from-scratch snapshot after %d events", epoch, len(events)))
 	}
-	truth := o.mirror.State().Classify()
+	var prev []*DstReport
+	if len(o.epochs) > 0 {
+		prev = o.epochs[len(o.epochs)-1].truth
+	}
+	truth := o.mirror.State().Reclassify(prev)
 	o.epochs = append(o.epochs, &epochState{
 		epoch: epoch,
 		taint: o.taint,
@@ -285,51 +308,16 @@ func (o *Oracle) EpochEnd(epoch int, sums []dataplane.TraceSummary) error {
 		}
 		if o.baseline != nil && s.Telemetry {
 			rec.baseRan = true
-			rec.baseHop = o.replayBaseline(s.Dst, s.Src)
+			// A fresh detector state over the static walk, within the
+			// TTL budget edge injection grants.
+			st := o.baseline.NewState()
+			rec.baseHop = o.mirror.State().replay(s.Dst, s.Src, dataplane.InitialTTL, func(node int) bool {
+				return st.Visit(o.net.Assign.ID(node)) == detect.Loop
+			})
 		}
 		es.flows = append(es.flows, rec)
 	}
 	return nil
-}
-
-// replayBaseline drives a fresh baseline detector state over the static
-// walk from src towards dst, hop for hop as the data plane would carry
-// it, within the same TTL budget edge injection grants. It returns the
-// 1-based hop of the detector's loop verdict, 0 if none fired. The
-// delivering switch never runs detection (the pipeline delivers before
-// the telemetry block), so it is skipped.
-func (o *Oracle) replayBaseline(dst, src int) int {
-	path, cycle := o.mirror.State().WalkPath(dst, src)
-	st := o.baseline.NewState()
-	hop := 0
-	visit := func(node int) (int, bool) {
-		hop++
-		if hop > int(dataplane.InitialTTL) {
-			return 0, true
-		}
-		if st.Visit(o.net.Assign.ID(node)) == detect.Loop {
-			return hop, true
-		}
-		return 0, false
-	}
-	for _, u := range path {
-		if u == dst && len(cycle) == 0 {
-			return 0 // delivered
-		}
-		if h, done := visit(u); done {
-			return h
-		}
-	}
-	if len(cycle) == 0 {
-		return 0 // terminated (no-route or link-down)
-	}
-	for {
-		for _, u := range cycle {
-			if h, done := visit(u); done {
-				return h
-			}
-		}
-	}
 }
 
 // loopsAt reports whether the (dst, src) pair loops in the epoch at

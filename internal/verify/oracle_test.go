@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,4 +209,156 @@ func (s *firstIDState) Visit(id detect.SwitchID) detect.Verdict {
 		s.has = true
 	}
 	return detect.Continue
+}
+
+// torusNet builds a 4×4 torus with shortest paths installed towards
+// every destination.
+func torusNet(t *testing.T) *dataplane.Network {
+	t.Helper()
+	g, err := topology.Torus(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := dataplane.NewNetwork(g, topology.NewAssignment(g, xrand.New(3)), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < g.N(); d++ {
+		if err := net.InstallShortestPaths(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.SetLoopPolicy(dataplane.ActionDrop)
+	return net
+}
+
+// truthCheck wraps an Oracle and, at every epoch, checks the truth its
+// incremental reclassification produced against a full classification
+// of a from-scratch snapshot.
+type truthCheck struct {
+	t   *testing.T
+	o   *Oracle
+	net *dataplane.Network
+}
+
+func (c *truthCheck) EpochStart(epoch int, events []dataplane.FaultEvent) error {
+	if err := c.o.EpochStart(epoch, events); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(c.o.epochs[len(c.o.epochs)-1].truth, SnapshotState(c.net).Classify()) {
+		c.t.Errorf("epoch %d: incremental truth differs from a full classification of a fresh snapshot", epoch)
+	}
+	return nil
+}
+
+func (c *truthCheck) EpochEnd(epoch int, sums []dataplane.TraceSummary) error {
+	return c.o.EpochEnd(epoch, sums)
+}
+
+// TestOracleIncrementalTruth drives an oracle through a torus churn run
+// with route deltas, a link flap and a restart: at every epoch its
+// truth must deep-equal a from-scratch classification, an epoch without
+// events must reuse every report, and a route delta for one destination
+// must reclassify that destination alone.
+func TestOracleIncrementalTruth(t *testing.T) {
+	net := torusNet(t)
+	port := func(u, v int) dataplane.PortID {
+		p, err := net.PortTo(u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	dst0 := net.Assign.ID(0)
+	plan := &dataplane.FaultPlan{}
+	plan.RoutesAt(1, []dataplane.RouteUpdate{ // a 5↔6 loop towards node 0
+		{Node: 5, Dst: dst0, Port: port(5, 6)},
+		{Node: 6, Dst: dst0, Port: port(6, 5)},
+	})
+	plan.LinkDownAt(2, 1, 2)
+	// Epoch 3 has no events.
+	plan.RestartAt(4, 10)
+	plan.LinkUpAt(5, 1, 2)
+	plan.RoutesAt(5, []dataplane.RouteUpdate{
+		{Node: 6, Dst: dst0, Clear: true},
+		{Node: 6, Dst: dst0, Port: port(6, 2)},
+	})
+	const epochs = 7
+	var flows []dataplane.ChurnEpoch
+	for e := 0; e < epochs; e++ {
+		var ep dataplane.ChurnEpoch
+		for src := 0; src < net.Graph.N(); src++ {
+			for _, dst := range []int{0, 15} {
+				ep.Flows = append(ep.Flows, dataplane.Flow{
+					Src: src, Dst: dst, ID: uint32(len(ep.Flows) + 100*e),
+					TTL: dataplane.InitialTTL, Telemetry: true,
+				})
+			}
+		}
+		flows = append(flows, ep)
+	}
+	oracle := NewOracle(net, 7, Aesoplike{})
+	check := &truthCheck{t: t, o: oracle, net: net}
+	if _, err := dataplane.RunChurnObserved(dataplane.NewTrafficEngine(net, 2), plan, flows, check); err != nil {
+		t.Fatal(err)
+	}
+	oracle.Finalize()
+	if len(oracle.Divergences()) != 0 {
+		t.Errorf("divergences: %v", oracle.Divergences())
+	}
+	if oracle.Total().Confirmed == 0 {
+		t.Error("the injected 5↔6 loop was never confirmed")
+	}
+
+	// reused reports which destinations' reports epoch e shares with
+	// epoch e-1.
+	reused := func(e int) []bool {
+		out := make([]bool, net.Graph.N())
+		for d := range out {
+			out[d] = oracle.epochs[e].truth[d] == oracle.epochs[e-1].truth[d]
+		}
+		return out
+	}
+	for d, same := range reused(3) {
+		if !same {
+			t.Errorf("epoch 3 has no events but reclassified destination %d", d)
+		}
+	}
+	for d, same := range reused(1) {
+		if same == (d == 0) {
+			t.Errorf("epoch 1 updates routes towards node 0 only; destination %d reused = %v", d, same)
+		}
+	}
+	for d, same := range reused(6) {
+		if !same {
+			t.Errorf("epoch 6 has no events but reclassified destination %d", d)
+		}
+	}
+}
+
+// TestOracleClearOfUnknownDestination: the network treats a Clear for
+// an identifier outside its assignment as a no-op, so the mirror must
+// too — the run completes with no observer error and no divergence.
+func TestOracleClearOfUnknownDestination(t *testing.T) {
+	net := testNet(t, 6)
+	unknown := detect.SwitchID(1)
+	for net.Assign.Node(unknown) >= 0 {
+		unknown++
+	}
+	plan := &dataplane.FaultPlan{}
+	plan.RoutesAt(1, []dataplane.RouteUpdate{{Node: 2, Dst: unknown, Clear: true}})
+	oracle := NewOracle(net, 1, nil)
+	epochs := []dataplane.ChurnEpoch{{}, {Flows: []dataplane.Flow{
+		{Src: 3, Dst: 0, ID: 1, TTL: dataplane.InitialTTL, Telemetry: true},
+	}}}
+	if _, err := dataplane.RunChurnObserved(dataplane.NewTrafficEngine(net, 1), plan, epochs, oracle); err != nil {
+		t.Fatal(err)
+	}
+	oracle.Finalize()
+	if len(oracle.Divergences()) != 0 {
+		t.Errorf("divergences: %v", oracle.Divergences())
+	}
+	if oracle.Unexplained() {
+		t.Error("no-op Clear left the run unexplained")
+	}
 }

@@ -12,8 +12,10 @@
 //
 //   - State is a dense, self-contained forwarding snapshot (next-hop
 //     matrix plus link liveness) with an O(n)-per-destination
-//     classifier. It knows nothing about the emulator, so the fuzzer
-//     can hammer it with arbitrary partial tables.
+//     classifier, and it tracks which destinations changed so
+//     Reclassify re-runs only those. It knows nothing about the
+//     emulator, so the fuzzer can hammer it with arbitrary partial
+//     tables.
 //   - Mirror and Oracle (oracle.go) bind a State to a live
 //     dataplane.Network: the mirror tracks the network's FIBs
 //     incrementally through fault events, and the oracle reconciles the
@@ -66,10 +68,17 @@ func (o Outcome) String() string {
 // (destination, node) pair the egress *node* (not port — the verifier
 // reasons in topology space), plus per-directed-edge link liveness.
 // The zero next-hop value is -1 (no route); links default to up.
+//
+// A State also tracks which destinations changed since the last
+// Reclassify, so a caller that classifies it epoch after epoch pays
+// ClassifyDst only for destinations whose walks can have changed.
 type State struct {
 	n    int
 	next []int32 // next[dst*n+u] = next node, or -1
 	down []bool  // down[u*n+v] = directed edge u→v is severed
+	// dirty[dst]: dst's entries, or a link one of them crosses, changed
+	// since the last Reclassify.
+	dirty []bool
 }
 
 // NewState returns an empty state over n nodes: no routes, all links
@@ -79,9 +88,10 @@ func NewState(n int) *State {
 		panic(fmt.Sprintf("verify: state needs at least one node, got %d", n))
 	}
 	s := &State{
-		n:    n,
-		next: make([]int32, n*n),
-		down: make([]bool, n*n),
+		n:     n,
+		next:  make([]int32, n*n),
+		down:  make([]bool, n*n),
+		dirty: make([]bool, n),
 	}
 	for i := range s.next {
 		s.next[i] = -1
@@ -93,8 +103,9 @@ func NewState(n int) *State {
 func (s *State) N() int { return s.n }
 
 // SetNext installs (or with v < 0 withdraws) the next hop at node u for
-// destination dst. Out-of-range nodes panic: the mirror layer validates
-// real events before they reach here, so a bad index is a caller bug.
+// destination dst, marking dst dirty when the entry changes.
+// Out-of-range nodes panic: the mirror layer validates real events
+// before they reach here, so a bad index is a caller bug.
 func (s *State) SetNext(dst, u, v int) {
 	s.check(dst, "dst")
 	s.check(u, "node")
@@ -104,7 +115,10 @@ func (s *State) SetNext(dst, u, v int) {
 	if v < 0 {
 		v = -1
 	}
-	s.next[dst*s.n+u] = int32(v)
+	if i := dst*s.n + u; s.next[i] != int32(v) {
+		s.next[i] = int32(v)
+		s.dirty[dst] = true
+	}
 }
 
 // Next returns the next hop at node u for destination dst, -1 when
@@ -116,20 +130,34 @@ func (s *State) Next(dst, u int) int {
 }
 
 // ClearNode withdraws every route at node u — a switch restart wiping
-// its FIB.
+// its FIB — marking each destination u had an entry for dirty.
 func (s *State) ClearNode(u int) {
 	s.check(u, "node")
 	for dst := 0; dst < s.n; dst++ {
-		s.next[dst*s.n+u] = -1
+		if i := dst*s.n + u; s.next[i] >= 0 {
+			s.next[i] = -1
+			s.dirty[dst] = true
+		}
 	}
 }
 
-// SetLink sets the liveness of the undirected link {u, v}.
+// SetLink sets the liveness of the undirected link {u, v}. When that
+// flips it, every destination whose entry at u points at v, or at v
+// points at u, is marked dirty: only walks crossing the link can change.
 func (s *State) SetLink(u, v int, up bool) {
 	s.check(u, "node")
 	s.check(v, "node")
-	s.down[u*s.n+v] = !up
-	s.down[v*s.n+u] = !up
+	n := s.n
+	if s.down[u*n+v] == !up && s.down[v*n+u] == !up {
+		return
+	}
+	s.down[u*n+v] = !up
+	s.down[v*n+u] = !up
+	for dst := 0; dst < n; dst++ {
+		if s.next[dst*n+u] == int32(v) || s.next[dst*n+v] == int32(u) {
+			s.dirty[dst] = true
+		}
+	}
 }
 
 // LinkUp reports whether the undirected link {u, v} is alive.
@@ -139,18 +167,20 @@ func (s *State) LinkUp(u, v int) bool {
 	return !s.down[u*s.n+v]
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy, dirty marks included.
 func (s *State) Clone() *State {
 	c := &State{
-		n:    s.n,
-		next: append([]int32(nil), s.next...),
-		down: append([]bool(nil), s.down...),
+		n:     s.n,
+		next:  append([]int32(nil), s.next...),
+		down:  append([]bool(nil), s.down...),
+		dirty: append([]bool(nil), s.dirty...),
 	}
 	return c
 }
 
 // Equal reports whether two states encode identical forwarding
-// behaviour (same size, routes, and link liveness).
+// behaviour (same size, routes, and link liveness); dirty marks are
+// bookkeeping, not behaviour, and are ignored.
 func (s *State) Equal(t *State) bool {
 	if s.n != t.n {
 		return false
@@ -179,7 +209,9 @@ func (s *State) check(i int, what string) {
 // distance B (hops before the first cycle node), the cycle length L,
 // and which cycle is reached. This is precisely the (B, L) pair
 // Theorem 1's detection bound is stated in, so the oracle can check the
-// bound per flow without re-walking anything.
+// bound per flow without re-walking anything. A report is immutable once
+// built: Reclassify shares an unchanged destination's report between
+// successive classifications by pointer.
 type DstReport struct {
 	// Dst is the destination node.
 	Dst int
@@ -199,6 +231,10 @@ type DstReport struct {
 	// therefore indices) is deterministic: starts are scanned
 	// ascending.
 	Cycles [][]int
+
+	// loops counts the looping starts, so LoopingPairs over reports
+	// reused across epochs does not rescan their outcomes.
+	loops int
 }
 
 // LoopingStarts returns the ascending list of start nodes that loop.
@@ -322,15 +358,39 @@ func (s *State) ClassifyDst(dst int) *DstReport {
 			color[w] = black
 		}
 	}
+	for _, oc := range rep.Outcome {
+		if oc == OutcomeLoop {
+			rep.loops++
+		}
+	}
 	return rep
 }
 
 // Classify runs ClassifyDst for every destination, ascending — the
 // "exact set of looping (destination, start) pairs at this instant".
+// It leaves the dirty marks alone.
 func (s *State) Classify() []*DstReport {
 	out := make([]*DstReport, s.n)
 	for dst := 0; dst < s.n; dst++ {
 		out[dst] = s.ClassifyDst(dst)
+	}
+	return out
+}
+
+// Reclassify is Classify paid per changed destination: prev must be the
+// result of the previous Reclassify on s (nil classifies every
+// destination). Destinations marked dirty since then are classified
+// afresh; every other report is prev's, shared by pointer. The dirty
+// marks are cleared. The result deep-equals Classify().
+func (s *State) Reclassify(prev []*DstReport) []*DstReport {
+	out := make([]*DstReport, s.n)
+	for dst := range out {
+		if prev == nil || s.dirty[dst] {
+			out[dst] = s.ClassifyDst(dst)
+		} else {
+			out[dst] = prev[dst]
+		}
+		s.dirty[dst] = false
 	}
 	return out
 }
@@ -340,47 +400,36 @@ func (s *State) Classify() []*DstReport {
 func LoopingPairs(reports []*DstReport) int {
 	total := 0
 	for _, r := range reports {
-		for _, oc := range r.Outcome {
-			if oc == OutcomeLoop {
-				total++
-			}
-		}
+		total += r.loops
 	}
 	return total
 }
 
-// WalkPath reconstructs the node sequence a packet injected at start
-// for dst traverses: the visited nodes beginning with start, and — when
-// the walk loops — the cycle in traversal order starting at the entry
-// node. For terminating walks cycle is nil and path ends at the final
-// node (the destination, the no-route node, or the node with the dead
-// egress). The baseline scorer drives detectors over exactly this
-// sequence, which is what the data plane's hop loop realises when the
-// epoch's state is frozen.
-func (s *State) WalkPath(dst, start int) (path []int, cycle []int) {
+// replay feeds visit the nodes a packet injected at src for dst passes
+// through under this frozen state, hop by hop, as the data plane's hop
+// loop realises them, and returns the 1-based hop at which visit
+// returned true — 0 if it never did within budget hops. The walk ends
+// unvisited at the destination (the delivering switch forwards nothing
+// and so runs no detector) and ends after visiting a node with no
+// route or a dead egress, where the packet is dropped. A looping walk
+// circles until the budget runs out, so it needs no visited set.
+func (s *State) replay(dst, src, budget int, visit func(node int) bool) int {
 	s.check(dst, "dst")
-	s.check(start, "node")
+	s.check(src, "node")
 	n := s.n
-	seen := make(map[int]int, 8)
-	u := start
-	for {
-		if at, dup := seen[u]; dup {
-			return path[:at], append([]int(nil), path[at:]...)
+	next := s.next[dst*n : (dst+1)*n]
+	u := src
+	for hop := 1; hop <= budget && u != dst; hop++ {
+		if visit(u) {
+			return hop
 		}
-		seen[u] = len(path)
-		path = append(path, u)
-		if u == dst {
-			return path, nil
-		}
-		v := int(s.next[dst*n+u])
+		v := int(next[u])
 		if v < 0 || s.down[u*n+v] {
-			return path, nil
+			break
 		}
 		u = v
-		if len(path) > n {
-			panic("verify: walk exceeded node count without repeating — classifier invariant broken")
-		}
 	}
+	return 0
 }
 
 // canonicalCycle rotates the cycle so its smallest node comes first,

@@ -121,21 +121,71 @@ func TestClassifyMultipleCyclesOneDst(t *testing.T) {
 	}
 }
 
-func TestWalkPath(t *testing.T) {
+// TestReplayWalk pins the hop semantics the baseline replay shares with
+// the data plane: a loop circles until the budget runs out, the
+// delivering switch is never visited, and a dead-end node is.
+func TestReplayWalk(t *testing.T) {
 	s := NewState(6)
 	chain(s, 0, map[int]int{1: 2, 2: 3, 3: 4, 4: 2, 5: 0})
-	path, cycle := s.WalkPath(0, 1)
-	if !reflect.DeepEqual(path, []int{1}) || !reflect.DeepEqual(cycle, []int{2, 3, 4}) {
-		t.Errorf("loop walk: path=%v cycle=%v", path, cycle)
+	if got := replayed(t, s, 0, 1, 7); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 2, 3, 4}) {
+		t.Errorf("loop walk: %v", got)
 	}
-	path, cycle = s.WalkPath(0, 5)
-	if !reflect.DeepEqual(path, []int{5, 0}) || cycle != nil {
-		t.Errorf("deliver walk: path=%v cycle=%v", path, cycle)
+	if got := replayed(t, s, 0, 5, 255); !reflect.DeepEqual(got, []int{5}) {
+		t.Errorf("deliver walk: %v", got)
 	}
-	path, cycle = s.WalkPath(0, 0)
-	if !reflect.DeepEqual(path, []int{0}) || cycle != nil {
-		t.Errorf("start-at-dst walk: path=%v cycle=%v", path, cycle)
+	if got := replayed(t, s, 0, 0, 255); got != nil {
+		t.Errorf("start-at-dst walk: %v", got)
 	}
+	s.SetLink(5, 0, false)
+	if got := replayed(t, s, 0, 5, 255); !reflect.DeepEqual(got, []int{5}) {
+		t.Errorf("link-down walk: %v", got)
+	}
+	chain(s, 1, map[int]int{3: 4})
+	if got := replayed(t, s, 1, 3, 255); !reflect.DeepEqual(got, []int{3, 4}) {
+		t.Errorf("no-route walk: %v", got)
+	}
+	if hop := s.replay(0, 1, 255, func(node int) bool { return node == 4 }); hop != 4 {
+		t.Errorf("visitor firing at node 4 stopped at hop %d, want 4", hop)
+	}
+}
+
+// TestReclassifyDirtyRules pins which mutations dirty which
+// destinations: only a changed entry, a flipped link under some entry,
+// or a restart wiping an entry.
+func TestReclassifyDirtyRules(t *testing.T) {
+	s := NewState(6)
+	chain(s, 0, map[int]int{1: 0, 2: 1, 3: 2})
+	chain(s, 1, map[int]int{2: 1, 4: 3, 3: 2})
+	chain(s, 4, map[int]int{0: 4})
+	prev := s.Reclassify(nil)
+	step := func(what string, mutate func(), want []int) {
+		t.Helper()
+		mutate()
+		cur := s.Reclassify(prev)
+		var got []int
+		for d := range cur {
+			if cur[d] != prev[d] {
+				got = append(got, d)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s reclassified %v, want %v", what, got, want)
+		}
+		if !reflect.DeepEqual(cur, s.Classify()) {
+			t.Errorf("%s: Reclassify differs from Classify", what)
+		}
+		prev = cur
+	}
+	step("nothing", func() {}, nil)
+	step("re-setting an entry", func() { s.SetNext(0, 2, 1) }, nil)
+	step("downing an unused link", func() { s.SetLink(1, 4, false) }, nil)
+	step("downing it again", func() { s.SetLink(1, 4, false) }, nil)
+	step("downing a link two destinations cross", func() { s.SetLink(1, 2, false) }, []int{0, 1})
+	step("downing a link one destination crosses backwards", func() { s.SetLink(4, 0, false) }, []int{4})
+	step("restarting a node without entries", func() { s.ClearNode(5) }, nil)
+	step("restarting a node with entries", func() { s.ClearNode(3) }, []int{0, 1})
+	step("withdrawing an absent entry", func() { s.SetNext(2, 1, -1) }, nil)
+	step("changing one entry", func() { s.SetNext(2, 1, 3) }, []int{2})
 }
 
 func TestCloneAndEqual(t *testing.T) {
