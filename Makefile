@@ -19,8 +19,9 @@
 #                convergence, asymmetric/full partitions, node kill +
 #                journal-reconciled rejoin, exactly-once cluster-wide
 #   make bench   full benchmark run with allocation stats
-#   make ci      the full gate (ci.sh): build, vet, unroller-vet,
-#                race tests, oracle gate, fuzz smoke, bench smoke
+#   make ci      the full gate (ci.sh): build, a test file in every main
+#                package, vet, unroller-vet, race tests, oracle gate,
+#                fuzz smoke, bench smoke
 
 GO ?= go
 

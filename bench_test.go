@@ -435,7 +435,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 }
 
 // BenchmarkLoopCollateral — the event-driven simulation behind
-// examples/loop-collateral: a background flow shares one link with a
+// experiments.Collateral: a background flow shares one link with a
 // loop; the metric is the background flow's mean latency (ms) with and
 // without in-band detection. The intro's bandwidth-amplification claim
 // as a benchmark.

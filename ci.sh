@@ -3,6 +3,9 @@
 # root. Every step must pass; the script stops at the first failure.
 #
 #   build         go build ./...
+#   main tests    every main package in the module (commands under
+#                 cmd/) has test files of its own: a program nothing
+#                 runs under `go test` is one nothing checks
 #   vet           go vet ./...
 #   unroller-vet  the project's own analyzers (see internal/analysis):
 #                 determinism, hotpath, wirewidth, errctx, nodeps,
@@ -78,6 +81,14 @@ cd "$(dirname "$0")"
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> every main package has tests"
+untested="$(go list -f '{{if and (eq .Name "main") (not .TestGoFiles)}}{{.ImportPath}}{{end}}' ./... | grep . || true)"
+if [ -n "$untested" ]; then
+	echo "main packages without test files:" >&2
+	echo "$untested" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

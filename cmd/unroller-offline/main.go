@@ -1,10 +1,14 @@
 // Command unroller-offline contrasts offline trace analysis — the
-// pre-Unroller way of finding loops — with in-band detection, on the
-// same emulated run. It injects loop traffic into a topology, records
-// every switch observation to a trace file through the data plane's
-// mirror tap, analyses the trace offline, and reports both answers along
-// with what each one cost (records shipped to a collector vs header
-// bits).
+// pre-Unroller way of finding loops (Hengartner et al., the paper's
+// [14]: "Detection and Analysis of Routing Loops in Packet Traces") —
+// with in-band detection, on the same emulated run. It injects loop
+// traffic into a topology, records every switch observation in a
+// compact binary trace through the data plane's mirror tap, analyses
+// the recorded observations offline for packets that visited the same
+// switch twice, and reports both answers along with what each one cost
+// (records shipped to a collector vs header bits). The offline pipeline
+// needs every observation and answers only after the fact; Unroller's
+// answer is available at the looping switch while the packet is alive.
 //
 // Usage:
 //
@@ -22,7 +26,6 @@ import (
 	"github.com/unroller/unroller/internal/detect"
 	"github.com/unroller/unroller/internal/sim"
 	"github.com/unroller/unroller/internal/topology"
-	"github.com/unroller/unroller/internal/trace"
 	"github.com/unroller/unroller/internal/xrand"
 )
 
@@ -90,12 +93,15 @@ func run(topoName string, seed uint64, packets int, path string) error {
 
 	// Mirror every observation into the trace.
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	w := NewWriter(&buf)
+	var records []Record
 	var pktID uint64
 	net.OnHop = func(node int, sw detect.SwitchID, p *dataplane.Packet) {
-		if _, err := w.Append(node, sw, p.Flow, pktID); err != nil {
+		rec, err := w.Append(node, sw, p.Flow, pktID)
+		if err != nil {
 			panic(err)
 		}
+		records = append(records, rec)
 	}
 
 	inBand := 0
@@ -120,12 +126,8 @@ func run(topoName string, seed uint64, packets int, path string) error {
 		}
 	}
 
-	records, err := trace.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-	if err != nil {
-		return err
-	}
-	findings := trace.Analyze(records)
-	sum := trace.Summarize(records, findings)
+	findings := Analyze(records)
+	sum := Summarize(records, findings)
 	fmt.Printf("\noffline : %s\n", sum)
 	fmt.Printf("offline : collector ingested %d records (%d bytes) before answering\n",
 		len(records), buf.Len())

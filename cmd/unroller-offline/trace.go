@@ -1,11 +1,74 @@
-package trace
+package main
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 
 	"github.com/unroller/unroller/internal/detect"
 )
+
+// Record is one switch observation: packet pkt of flow was seen at
+// switch sw (topology node) at the seq'th observation overall.
+type Record struct {
+	// Seq is the global observation sequence number (collector arrival
+	// order).
+	Seq uint64
+	// Node is the observing topology node.
+	Node uint32
+	// Switch is the observing switch's identifier.
+	Switch detect.SwitchID
+	// Flow identifies the flow.
+	Flow uint32
+	// Packet identifies the packet within the flow.
+	Packet uint64
+}
+
+const (
+	magic      = "UTRC"
+	version    = 1
+	recordSize = 8 + 4 + 4 + 4 + 8
+)
+
+// Writer streams records to an io.Writer in the compact binary trace
+// format: the magic and version, then one big-endian record per
+// observation.
+type Writer struct {
+	w   *bufio.Writer
+	seq uint64
+}
+
+// NewWriter returns a trace writer over w. The header is buffered at
+// once, so an empty trace is still well formed; bufio keeps a write
+// error and returns it from the next Append or Flush.
+func NewWriter(w io.Writer) *Writer {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(magic)
+	bw.WriteByte(version)
+	return &Writer{w: bw}
+}
+
+// Append writes one observation, assigning the next sequence number,
+// and returns the record written.
+func (t *Writer) Append(node int, sw detect.SwitchID, flow uint32, packet uint64) (Record, error) {
+	rec := Record{Seq: t.seq, Node: uint32(node), Switch: sw, Flow: flow, Packet: packet}
+	var buf [recordSize]byte
+	binary.BigEndian.PutUint64(buf[0:], rec.Seq)
+	binary.BigEndian.PutUint32(buf[8:], rec.Node)
+	binary.BigEndian.PutUint32(buf[12:], uint32(rec.Switch))
+	binary.BigEndian.PutUint32(buf[16:], rec.Flow)
+	binary.BigEndian.PutUint64(buf[20:], rec.Packet)
+	if _, err := t.w.Write(buf[:]); err != nil {
+		return Record{}, err
+	}
+	t.seq++
+	return rec, nil
+}
+
+// Flush drains buffered records to the underlying writer.
+func (t *Writer) Flush() error { return t.w.Flush() }
 
 // Finding is one loop detected by offline analysis: a packet observed at
 // the same switch twice, with the loop membership between the two

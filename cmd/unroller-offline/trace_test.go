@@ -1,8 +1,8 @@
-package trace
+package main
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -13,80 +13,50 @@ import (
 	"github.com/unroller/unroller/internal/xrand"
 )
 
-// TestWriterReaderRoundTrip: records survive the binary format exactly.
-func TestWriterReaderRoundTrip(t *testing.T) {
+// TestWriterFormat: Append numbers records from 0 and returns what it
+// wrote, and the file is the header then one 28-byte big-endian record
+// per observation.
+func TestWriterFormat(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	want := []struct {
-		node int
-		sw   detect.SwitchID
-		flow uint32
-		pkt  uint64
-	}{
-		{0, 0xAABB, 1, 0},
-		{7, 0x1, 1, 1},
-		{255, 0xFFFFFFFE, 9, 1 << 40},
+	want := []Record{
+		{Seq: 0, Node: 0, Switch: 0xAABB, Flow: 1, Packet: 0},
+		{Seq: 1, Node: 7, Switch: 0x1, Flow: 1, Packet: 1},
+		{Seq: 2, Node: 255, Switch: 0xFFFFFFFE, Flow: 9, Packet: 1 << 40},
 	}
-	for i, rec := range want {
-		seq, err := w.Append(rec.node, rec.sw, rec.flow, rec.pkt)
+	for _, rec := range want {
+		got, err := w.Append(int(rec.Node), rec.Switch, rec.Flow, rec.Packet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq != uint64(i) {
-			t.Fatalf("seq %d, want %d", seq, i)
+		if got != rec {
+			t.Fatalf("Append returned %+v, want %+v", got, rec)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 3 {
-		t.Fatalf("count %d", w.Count())
+	wantBytes := []byte("UTRC\x01")
+	for _, rec := range want {
+		wantBytes = binary.BigEndian.AppendUint64(wantBytes, rec.Seq)
+		wantBytes = binary.BigEndian.AppendUint32(wantBytes, rec.Node)
+		wantBytes = binary.BigEndian.AppendUint32(wantBytes, uint32(rec.Switch))
+		wantBytes = binary.BigEndian.AppendUint32(wantBytes, rec.Flow)
+		wantBytes = binary.BigEndian.AppendUint64(wantBytes, rec.Packet)
 	}
-	got, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d records", len(got))
-	}
-	for i, rec := range got {
-		if rec.Seq != uint64(i) || int(rec.Node) != want[i].node ||
-			rec.Switch != want[i].sw || rec.Flow != want[i].flow || rec.Packet != want[i].pkt {
-			t.Fatalf("record %d: %+v", i, rec)
-		}
+	if !bytes.Equal(buf.Bytes(), wantBytes) {
+		t.Fatalf("trace bytes\n%x\nwant\n%x", buf.Bytes(), wantBytes)
 	}
 }
 
-// TestEmptyTrace: header-only files parse to zero records.
+// TestEmptyTrace: a trace with no observations is the bare header.
 func TestEmptyTrace(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
+	if err := NewWriter(&buf).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := NewReader(&buf).ReadAll()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("%v, %d records", err, len(recs))
-	}
-}
-
-// TestBadHeaderAndTruncation.
-func TestBadHeaderAndTruncation(t *testing.T) {
-	if _, err := NewReader(strings.NewReader("JUNKJUNKJUNK")).Next(); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := NewReader(strings.NewReader("")).Next(); err == nil {
-		t.Fatal("empty stream accepted")
-	}
-	// Valid header, torn record.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Append(1, 2, 3, 4)
-	w.Flush()
-	torn := buf.Bytes()[:buf.Len()-5]
-	r := NewReader(bytes.NewReader(torn))
-	if _, err := r.Next(); err == nil || err == io.EOF {
-		t.Fatalf("torn record: err = %v", err)
+	if buf.String() != "UTRC\x01" {
+		t.Fatalf("empty trace %q", buf.String())
 	}
 }
 
@@ -163,11 +133,13 @@ func TestOfflineMatchesInBand(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	pktID := uint64(1)
+	var recs []Record
 	net.OnHop = func(node int, sw detect.SwitchID, p *dataplane.Packet) {
-		if _, err := w.Append(node, sw, p.Flow, pktID); err != nil {
+		rec, err := w.Append(node, sw, p.Flow, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		recs = append(recs, rec)
 	}
 	tr, err := net.Send(5, dst, 42, 255, true)
 	if err != nil {
@@ -180,10 +152,6 @@ func TestOfflineMatchesInBand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
 	findings := Analyze(recs)
 	if len(findings) != 1 {
 		t.Fatalf("%d offline findings", len(findings))

@@ -123,6 +123,40 @@ func TestFigure7Shape(t *testing.T) {
 	}
 }
 
+// TestInts: figure axes include both ends when on the grid, never
+// overshoot, and reject a zero step or an empty range.
+func TestInts(t *testing.T) {
+	got := ints(1, 10, 3)
+	want := []int{1, 4, 7, 10}
+	if len(got) != len(want) {
+		t.Fatalf("got %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	if len(ints(5, 5, 1)) != 1 {
+		t.Error("singleton range")
+	}
+	if g := ints(1, 9, 3); g[len(g)-1] != 7 {
+		t.Error("range must not overshoot")
+	}
+	for _, bad := range []func(){
+		func() { ints(1, 10, 0) },
+		func() { ints(10, 1, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("invalid range should panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 // TestFiguresRegistry: every figure id resolves and produces rows.
 func TestFiguresRegistry(t *testing.T) {
 	reg := Figures()

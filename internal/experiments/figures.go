@@ -7,7 +7,6 @@ import (
 	"github.com/unroller/unroller/internal/core"
 	"github.com/unroller/unroller/internal/detect"
 	"github.com/unroller/unroller/internal/sim"
-	"github.com/unroller/unroller/internal/sweep"
 )
 
 // Options shapes the sensitivity experiments (figures 2–7).
@@ -37,6 +36,23 @@ func (o Options) mc() sim.MCConfig {
 	return sim.MCConfig{Runs: o.Runs, Seed: o.Seed, Workers: o.Workers}
 }
 
+// ints returns from, from+step, …, up to and including to (when it lands
+// on the grid): one figure axis. It panics on a non-positive step or an
+// empty range.
+func ints(from, to, step int) []int {
+	if step <= 0 {
+		panic("experiments: step must be positive")
+	}
+	if to < from {
+		panic(fmt.Sprintf("experiments: empty range [%d, %d]", from, to))
+	}
+	out := make([]int, 0, (to-from)/step+1)
+	for v := from; v <= to; v += step {
+		out = append(out, v)
+	}
+	return out
+}
+
 // avgTime runs one (B, L, cfg) data point and formats the mean hops/X.
 func avgTime(cfg core.Config, B, L int, o Options) string {
 	det := core.MustNew(cfg)
@@ -54,7 +70,7 @@ func Figure2(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) varying L and b; B=5, z=32, c=H=Th=1",
 		Headers: []string{"L", "b=2", "b=4", "b=6"},
 	}
-	for _, L := range sweep.Ints(1, 30, o.LStep) {
+	for _, L := range ints(1, 30, o.LStep) {
 		row := []string{fmt.Sprintf("%d", L)}
 		for _, b := range []int{2, 4, 6} {
 			cfg := core.DefaultConfig()
@@ -76,7 +92,7 @@ func Figure3(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) varying L and B; b=4, z=32, c=H=Th=1",
 		Headers: []string{"L", "B=0", "B=3", "B=7"},
 	}
-	for _, L := range sweep.Ints(1, 30, o.LStep) {
+	for _, L := range ints(1, 30, o.LStep) {
 		row := []string{fmt.Sprintf("%d", L)}
 		for _, B := range []int{0, 3, 7} {
 			row = append(row, avgTime(core.DefaultConfig(), B, L, o))
@@ -95,7 +111,7 @@ func Figure4(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) varying L and c,H; b=4, B=5",
 		Headers: []string{"L", "c=1,H=1", "c=2,H=2", "c=4,H=4"},
 	}
-	for _, L := range sweep.Ints(1, 30, o.LStep) {
+	for _, L := range ints(1, 30, o.LStep) {
 		row := []string{fmt.Sprintf("%d", L)}
 		for _, ch := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -117,7 +133,7 @@ func Figure5a(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) varying c; L=20, B=5, b=4",
 		Headers: []string{"c", "H=1", "H=2", "H=4"},
 	}
-	for _, c := range sweep.Ints(1, 8, 1) {
+	for _, c := range ints(1, 8, 1) {
 		row := []string{fmt.Sprintf("%d", c)}
 		for _, h := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -139,7 +155,7 @@ func Figure5b(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) varying H; L=20, B=5, b=4",
 		Headers: []string{"H", "c=1", "c=2", "c=4"},
 	}
-	for _, h := range sweep.Ints(1, 10, 1) {
+	for _, h := range ints(1, 10, 1) {
 		row := []string{fmt.Sprintf("%d", h)}
 		for _, c := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -172,7 +188,7 @@ func Figure6a(o Options) *Table {
 		Caption: "False positives vs z on a loop-free 20-hop path; Th=1",
 		Headers: []string{"z", "c=1,H=1", "c=2,H=2", "c=4,H=4"},
 	}
-	for _, z := range sweep.Ints(2, 18, 2) {
+	for _, z := range ints(2, 18, 2) {
 		row := []string{fmt.Sprintf("%d", z)}
 		for _, ch := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -195,7 +211,7 @@ func Figure6b(o Options) *Table {
 		Caption: "False positives vs z on a loop-free 20-hop path; c=H=1",
 		Headers: []string{"z", "Th=1", "Th=2", "Th=4"},
 	}
-	for _, z := range sweep.Ints(2, 18, 2) {
+	for _, z := range ints(2, 18, 2) {
 		row := []string{fmt.Sprintf("%d", z)}
 		for _, th := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -219,7 +235,7 @@ func Figure7(o Options) *Table {
 		Caption: "Avg detection time (#hops/X) using the counting technique, varying Th; b=4, B=5",
 		Headers: []string{"L", "Th=1", "Th=2", "Th=4"},
 	}
-	for _, L := range sweep.Ints(1, 30, o.LStep) {
+	for _, L := range ints(1, 30, o.LStep) {
 		row := []string{fmt.Sprintf("%d", L)}
 		for _, th := range []int{1, 2, 4} {
 			cfg := core.DefaultConfig()
@@ -251,7 +267,7 @@ func FigureAesop(o Options) *Table {
 		res := sim.MonteCarlo(sim.Fixed(det), 5, L, o.mc())
 		return fmt.Sprintf("%.3f", res.Time.Mean())
 	}
-	for _, L := range sweep.Ints(1, 30, o.LStep) {
+	for _, L := range ints(1, 30, o.LStep) {
 		t.AddRow(
 			fmt.Sprintf("%d", L),
 			avgTime(core.DefaultConfig(), 5, L, o),

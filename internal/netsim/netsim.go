@@ -9,7 +9,7 @@
 // sharing any of those links suffers queueing delay, jitter, and loss
 // (Hengartner et al., the paper's [14]). With Unroller, looping packets
 // die within a few hops and the collateral damage disappears — the
-// experiment behind examples/loop-collateral and
+// experiment behind experiments.Collateral and
 // BenchmarkLoopCollateral.
 //
 // Forwarding decisions are made by the same dataplane.Switch pipelines

@@ -38,8 +38,8 @@
 // core.Unroller and the -race regression test
 // TestConcurrentDetectorSharedAcrossGoroutines in internal/core.
 //
-// See examples/ for runnable scenarios and cmd/ for the experiment
-// drivers that regenerate every table and figure of the paper.
+// See the Examples in example_test.go for runnable scenarios and cmd/
+// for the experiment drivers that regenerate every table and figure of the paper.
 package unroller
 
 import (
