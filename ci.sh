@@ -66,8 +66,9 @@
 #                 match, so each is invoked by exact name)
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
 #                 GOMAXPROCS) and network-send benchmarks, one
-#                 iteration of journal append (proof that path stays
-#                 runnable), plus 2000-iteration collector-ingest (plain and
+#                 iteration each of journal append and of a snapshot
+#                 rotation over 4 shards x 32768 flows (proof those
+#                 paths stay runnable), plus 2000-iteration collector-ingest (plain and
 #                 journaled) and cluster-ingest runs that ARE
 #                 measurements. The traffic-engine, collector-ingest,
 #                 and cluster-ingest lines are appended to the
@@ -150,7 +151,7 @@ go test -run '^$' -bench 'TrafficEngine|NetworkSend' -benchtime 100ms . | tee "$
 # at 1x the number is dial + warmup noise, and the regression gate
 # below would compare garbage against garbage.
 go test -run '^$' -bench 'CollectorIngest|ClusterIngest' -benchtime 2000x . | tee -a "$bench_out"
-go test -run '^$' -bench 'JournalAppend' -benchtime 1x ./internal/collectorsvc
+go test -run '^$' -bench 'JournalAppend|SnapshotRotate' -benchtime 1x ./internal/collectorsvc
 # benchlog exits 1 if the run lacks a gated entry or its Mpps fell
 # >20% below the last checked-in BENCH_collector.json entry.
 go run ./cmd/unroller-benchlog -gate 'BenchmarkCollectorIngest=20,BenchmarkClusterIngest=20' -o BENCH_collector.json "$bench_out"

@@ -16,6 +16,14 @@ package collectorsvc
 //	jrecSnapshot [type u8][ver u8][server counters][controller baseline]
 //	             [client seq table][per-flow dedup windows]
 //
+// A snapshot's flow section lists every flow's dedup window keyed by
+// flow, not by shard, so any shard count can recover it. A rotation
+// writes it straight from the shard flow tables: shard by shard, each
+// shard's flows in first-seen order. Replay routes every flow through
+// the recovering server's own shard hash, so the order carries no
+// meaning (journals that list flows ascending recover the same way);
+// a flow listed twice is corruption.
+//
 // Every segment *starts* with a snapshot record, so any suffix of the
 // segment list is self-contained: replay applies the oldest retained
 // segment's head snapshot and then re-delivers every record after it.
@@ -49,6 +57,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/unroller/unroller/internal/dataplane"
+	"github.com/unroller/unroller/internal/detect"
 )
 
 // FsyncPolicy selects when the journal calls File.Sync.
@@ -182,7 +193,7 @@ type Journal struct {
 	segs     []uint64 // live segment numbers, ascending (includes active)
 	dirty    bool     // bytes flushed to OS since the last sync
 	failed   bool     // an append or sync failed; durability degraded
-	scratch  []byte   // reusable record-encode buffer for batch appends
+	scratch  []byte   // reusable record-encode buffer (header + payload) for batch appends
 
 	lastSync     time.Time
 	appends      uint64
@@ -228,7 +239,7 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	if len(j.segs) == 0 {
 		// Genesis: segment 1 opens with an empty-state snapshot so the
 		// self-contained-suffix invariant holds from the first byte.
-		if err := j.openSegmentLocked(1, encodeSnapshot(nil, emptySnapshot())); err != nil {
+		if err := j.openSegmentLocked(1, encodeSnapshot(beginRecord(nil), emptySnapshot())); err != nil {
 			return nil, err
 		}
 	} else {
@@ -313,8 +324,9 @@ func scanRecords(buf []byte, fn func(payload []byte)) int {
 	}
 }
 
-// openSegmentLocked creates segment idx, writes head (the snapshot
-// record) into it, and makes it the active segment.
+// openSegmentLocked creates segment idx, writes headSnapshot (a
+// snapshot record begun with beginRecord) into it, and makes it the
+// active segment.
 func (j *Journal) openSegmentLocked(idx uint64, headSnapshot []byte) error {
 	path := filepath.Join(j.cfg.Dir, segName(idx))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -333,44 +345,54 @@ func (j *Journal) openSegmentLocked(idx uint64, headSnapshot []byte) error {
 	return nil
 }
 
-// appendLocked writes one record (header + payload). Errors mark the
-// journal failed and are counted, not returned: a disk failure degrades
-// durability but must never block in-process delivery (the caller still
-// enqueues the event; /healthz turns unready).
-func (j *Journal) appendLocked(payload []byte) {
-	var hdr [journalRecHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+// beginRecord starts a record at the end of dst: it reserves the
+// journalRecHeader bytes that sealRecord fills in once the payload has
+// been appended behind them. Header and payload then share one buffer
+// and reach the segment in one Write.
+func beginRecord(dst []byte) []byte {
+	return append(dst, make([]byte, journalRecHeader)...)
+}
+
+// sealRecord fills in the header of rec, a whole record begun with
+// beginRecord: the payload's length and CRC.
+func sealRecord(rec []byte) {
+	payload := rec[journalRecHeader:]
+	binary.BigEndian.PutUint32(rec, uint32(len(payload)))
+	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
+}
+
+// appendLocked seals and writes one record, begun with beginRecord, in a
+// single Write. Errors mark the journal failed and are counted, not
+// returned: a disk failure degrades durability but must never block
+// in-process delivery (the caller still enqueues the event; /healthz
+// turns unready).
+func (j *Journal) appendLocked(rec []byte) {
+	sealRecord(rec)
 	j.appends++
-	if _, err := j.bw.Write(hdr[:]); err != nil {
+	if _, err := j.bw.Write(rec); err != nil {
 		j.appendErrs++
 		j.failed = true
 		return
 	}
-	if _, err := j.bw.Write(payload); err != nil {
-		j.appendErrs++
-		j.failed = true
-		return
-	}
-	j.segSize += int64(journalRecHeader + len(payload))
+	j.segSize += int64(len(rec))
 	j.dirty = true
 }
 
 // appendReportLocked encodes and appends one report record through the
 // journal's reusable scratch buffer — the batch-append API: the
 // server's ingest loop calls it once per new frame while holding mu
-// across the whole batch, so a batch costs zero encode allocations and
-// one Commit (one flush, and under FsyncAlways one fsync) covers every
+// across the whole batch, so a batch costs zero allocations and one
+// Commit (one flush, and under FsyncAlways one fsync) covers every
 // record in it.
 func (j *Journal) appendReportLocked(clientID, seq uint64, ev LoopEventRecord, hop int) {
-	j.scratch = appendJournalReport(j.scratch[:0], clientID, seq, ev, hop)
+	j.scratch = appendJournalReport(beginRecord(j.scratch[:0]), clientID, seq, ev, hop)
 	j.appendLocked(j.scratch)
 }
 
 // appendTickLocked encodes and appends one tick record through the
 // shared scratch; see appendReportLocked.
 func (j *Journal) appendTickLocked(clientID, seq uint64) {
-	j.scratch = appendJournalTick(j.scratch[:0], clientID, seq)
+	j.scratch = appendJournalTick(beginRecord(j.scratch[:0]), clientID, seq)
 	j.appendLocked(j.scratch)
 }
 
@@ -380,9 +402,9 @@ func (j *Journal) needsRotateLocked() bool {
 }
 
 // rotateLocked finishes the active segment, opens the next one with
-// snapshot at its head, and enforces retention. The caller (the server's
-// ingest path) is responsible for quiescing the shards so snapshot is a
-// consistent cut.
+// snapshot (a record begun with beginRecord) at its head, and enforces
+// retention. The caller (the server's ingest path) is responsible for
+// quiescing the shards so snapshot is a consistent cut.
 func (j *Journal) rotateLocked(snapshot []byte) {
 	if err := j.bw.Flush(); err != nil {
 		j.failed = true
@@ -629,7 +651,10 @@ func appendJournalTick(dst []byte, clientID, seq uint64) []byte {
 // recovery resumes from. Counter baselines are cumulative totals at the
 // cut; client seqs are the exactly-once high-water marks; dedup windows
 // are the per-flow admission context, stored flat (flow-keyed) so the
-// snapshot is valid for any shard count.
+// snapshot is valid for any shard count. A live rotation never builds
+// one with Flows: it encodes the head from a journalSnapshot and the
+// flow section straight from the shard flow tables (see
+// Server.snapshotRecordLocked).
 type journalSnapshot struct {
 	// Server counter baselines, in ServerStats order.
 	Conns, Frames, BadFrames, Dupes uint64
@@ -645,7 +670,9 @@ type journalSnapshot struct {
 	// span list per client (the high-water mark is the last span's
 	// Last).
 	Clients []clientSeqEntry
-	// Per-flow dedup windows, ascending by flow.
+	// Per-flow dedup windows, keyed by flow: per shard in first-seen
+	// order as a rotation writes them, in any order as replay reads
+	// them, each flow at most once.
 	Flows []flowWindowEntry
 }
 
@@ -656,21 +683,43 @@ type clientSeqEntry struct {
 
 type flowWindowEntry struct {
 	Flow    uint32
-	Entries []windowEntry
-}
-
-type windowEntry struct {
-	Reporter uint32
-	Hop      uint32
+	Entries []dataplane.DedupEntry
 }
 
 // emptySnapshot is the genesis state.
 func emptySnapshot() *journalSnapshot { return &journalSnapshot{} }
 
-// encodeSnapshot appends the snapshot record payload.
+// encodeSnapshot appends the payload of s, flows included: the genesis
+// snapshot and the codec's tests. A live rotation writes the same bytes
+// through the same appendSnapshotHead and appendFlowRecord, taking the
+// flows from the shard flow tables instead of s.Flows.
 func encodeSnapshot(dst []byte, s *journalSnapshot) []byte {
+	dst = appendSnapshotHead(dst, s, len(s.Flows))
+	for _, f := range s.Flows {
+		dst = appendFlowRecord(dst, f.Flow, f.Entries)
+	}
+	return dst
+}
+
+// snapshotCounters is the number of u64 counters in a snapshot head.
+const snapshotCounters = 16
+
+// snapshotHeadLen returns the encoded length of s's head, the part
+// appendSnapshotHead writes.
+func snapshotHeadLen(s *journalSnapshot) int {
+	n := 2 + snapshotCounters*8 + 4
+	for _, c := range s.Clients {
+		n += 12 + 16*len(c.Spans)
+	}
+	return n + 4
+}
+
+// appendSnapshotHead appends a snapshot payload up to its flow section:
+// type, version, counters, the client table, and nFlows, the number of
+// flow records appendFlowRecord appends after it. s.Flows is ignored.
+func appendSnapshotHead(dst []byte, s *journalSnapshot, nFlows int) []byte {
 	dst = append(dst, jrecSnapshot, snapshotVersion)
-	for _, v := range []uint64{
+	for _, v := range [snapshotCounters]uint64{
 		s.Conns, s.Frames, s.BadFrames, s.Dupes, s.CrossDupes,
 		s.Ingested, s.Ticks,
 		s.QueueDropped, s.FlowEvictions,
@@ -688,14 +737,21 @@ func encodeSnapshot(dst []byte, s *journalSnapshot) []byte {
 			dst = binary.BigEndian.AppendUint64(dst, sp.Last)
 		}
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s.Flows)))
-	for _, f := range s.Flows {
-		dst = binary.BigEndian.AppendUint32(dst, f.Flow)
-		dst = append(dst, byte(len(f.Entries)))
-		for _, e := range f.Entries {
-			dst = binary.BigEndian.AppendUint32(dst, e.Reporter)
-			dst = binary.BigEndian.AppendUint32(dst, e.Hop)
-		}
+	return binary.BigEndian.AppendUint32(dst, uint32(nFlows))
+}
+
+// flowRecordLen returns the encoded length of a flow record holding n
+// window entries.
+func flowRecordLen(n int) int { return 5 + 8*n }
+
+// appendFlowRecord appends one flow's record to a snapshot's flow
+// section: the flow, its entry count, and its window entries.
+func appendFlowRecord(dst []byte, flow uint32, entries []dataplane.DedupEntry) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, flow)
+	dst = append(dst, byte(len(entries)))
+	for _, e := range entries {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(e.Reporter))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(e.Hop))
 	}
 	return dst
 }
@@ -760,12 +816,11 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 		return nil, fmt.Errorf("%w: unknown snapshot version", errBadJournalRecord)
 	}
 	body = body[1:]
-	const counters = 16
-	if len(body) < counters*8+8 {
+	if len(body) < snapshotCounters*8+8 {
 		return nil, fmt.Errorf("%w: snapshot of %d bytes too short", errBadJournalRecord, len(body))
 	}
 	s := &journalSnapshot{}
-	for i, dst := range []*uint64{
+	for i, dst := range [snapshotCounters]*uint64{
 		&s.Conns, &s.Frames, &s.BadFrames, &s.Dupes, &s.CrossDupes,
 		&s.Ingested, &s.Ticks,
 		&s.QueueDropped, &s.FlowEvictions,
@@ -774,7 +829,7 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 	} {
 		*dst = binary.BigEndian.Uint64(body[8*i:])
 	}
-	body = body[counters*8:]
+	body = body[snapshotCounters*8:]
 	nClients := int(binary.BigEndian.Uint32(body))
 	body = body[4:]
 	if nClients > 0 {
@@ -806,26 +861,36 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 	nFlows := int(binary.BigEndian.Uint32(body))
 	body = body[4:]
 	if nFlows > 0 {
-		s.Flows = make([]flowWindowEntry, 0, min(nFlows, 1<<16))
-		for i := 0; i < nFlows; i++ {
-			if len(body) < 5 {
+		// Every flow record is at least flowRecordLen(0) bytes, which
+		// bounds both allocations below by the payload's size: one
+		// record slice, and one entry array the windows are cut from.
+		if nFlows > len(body)/flowRecordLen(0) {
+			return nil, fmt.Errorf("%w: snapshot flow table overruns payload", errBadJournalRecord)
+		}
+		s.Flows = make([]flowWindowEntry, nFlows)
+		entries := make([]dataplane.DedupEntry, 0, (len(body)-nFlows*flowRecordLen(0))/8)
+		for i := range s.Flows {
+			if len(body) < flowRecordLen(0) {
 				return nil, fmt.Errorf("%w: snapshot flow entry overruns payload", errBadJournalRecord)
 			}
-			fe := flowWindowEntry{Flow: binary.BigEndian.Uint32(body)}
+			fe := &s.Flows[i]
+			fe.Flow = binary.BigEndian.Uint32(body)
 			n := int(body[4])
 			body = body[5:]
 			if len(body) < n*8 {
 				return nil, fmt.Errorf("%w: snapshot window overruns payload", errBadJournalRecord)
 			}
 			if n > 0 {
-				fe.Entries = make([]windowEntry, n)
-				for k := range fe.Entries {
-					fe.Entries[k].Reporter = binary.BigEndian.Uint32(body[8*k:])
-					fe.Entries[k].Hop = binary.BigEndian.Uint32(body[8*k+4:])
+				at := len(entries)
+				for k := 0; k < n; k++ {
+					entries = append(entries, dataplane.DedupEntry{
+						Reporter: detect.SwitchID(binary.BigEndian.Uint32(body[8*k:])),
+						Hop:      int(binary.BigEndian.Uint32(body[8*k+4:])),
+					})
 				}
+				fe.Entries = entries[at:len(entries):len(entries)]
 			}
 			body = body[n*8:]
-			s.Flows = append(s.Flows, fe)
 		}
 	}
 	if len(body) != 0 {
@@ -834,12 +899,11 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 	return s, nil
 }
 
-// appendJournalRecord encodes a full record (header + payload) into
-// dst — the framing appendLocked writes, exposed for tests and fuzzing.
+// appendJournalRecord appends a full record (header + payload) to dst —
+// the framing appendLocked writes, exposed for tests and fuzzing.
 func appendJournalRecord(dst, payload []byte) []byte {
-	var hdr [journalRecHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(beginRecord(dst), payload...)
+	sealRecord(dst[start:])
+	return dst
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/unroller/unroller/internal/dataplane"
 )
 
 // openTestJournal opens a journal in a fresh temp dir with small
@@ -29,7 +31,7 @@ func openTestJournal(t *testing.T, cfg JournalConfig) *Journal {
 func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
 	ev := LoopEventRecord{Flow: flow, Reporter: flow + 1, Hops: 3, Node: 7, Members: []uint32{1, 2, 3}}
 	j.mu.Lock()
-	j.appendLocked(appendJournalReport(nil, clientID, seq, ev, hop))
+	j.appendReportLocked(clientID, seq, ev, hop)
 	j.commitLocked()
 	j.mu.Unlock()
 }
@@ -55,7 +57,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	appendReport(j, 10, 1, 0xAABB, 4)
 	appendReport(j, 10, 2, 0xAABC, 5)
 	j.mu.Lock()
-	j.appendLocked(appendJournalTick(nil, 10, 3))
+	j.appendTickLocked(10, 3)
 	j.commitLocked()
 	j.mu.Unlock()
 	if err := j.Close(); err != nil {
@@ -97,7 +99,7 @@ func TestJournalRotationAndRetention(t *testing.T) {
 		j.mu.Lock()
 		if j.needsRotateLocked() {
 			snap.Ingested = uint64(i + 1)
-			j.rotateLocked(encodeSnapshot(nil, snap))
+			j.rotateLocked(encodeSnapshot(beginRecord(nil), snap))
 		}
 		j.mu.Unlock()
 	}
@@ -195,7 +197,7 @@ func TestJournalMidHistoryCorruptionFails(t *testing.T) {
 		appendReport(j, 1, uint64(i+1), uint32(i), 0)
 		j.mu.Lock()
 		if j.needsRotateLocked() {
-			j.rotateLocked(encodeSnapshot(nil, emptySnapshot()))
+			j.rotateLocked(encodeSnapshot(beginRecord(nil), emptySnapshot()))
 		}
 		j.mu.Unlock()
 	}
@@ -246,11 +248,14 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 			{ID: 9, Spans: []SeqSpan{{First: 1, Last: 40}}},
 		},
 		Flows: []flowWindowEntry{
-			{Flow: 0xDEAD, Entries: []windowEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
+			{Flow: 0xDEAD, Entries: []dataplane.DedupEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
 			{Flow: 0xBEEF},
 		},
 	}
 	payload := encodeSnapshot(nil, s)
+	if want := snapshotHeadLen(s) + flowRecordLen(2) + flowRecordLen(0); len(payload) != want {
+		t.Fatalf("snapshot payload is %d bytes, the size functions say %d", len(payload), want)
+	}
 	rec, err := decodeJournalPayload(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -384,18 +389,16 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 	defer j.Close()
 	ev := LoopEventRecord{Flow: 7, Reporter: 3, Hops: 12, Node: 2, Members: []uint32{1, 2, 3, 4}}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendJournalReport(buf[:0], 1, uint64(i)+1, ev, 12)
 		j.mu.Lock()
-		j.appendLocked(buf)
+		j.appendReportLocked(1, uint64(i)+1, ev, 12)
 		j.commitLocked()
 		j.mu.Unlock()
 	}
 	b.StopTimer()
-	b.SetBytes(int64(len(buf)) + journalRecHeader)
+	b.SetBytes(int64(len(j.scratch)))
 	if j.Failed() {
 		b.Fatalf("journal failed during benchmark: %+v", j.Stats())
 	}

@@ -79,14 +79,40 @@ func (s *Server) rotateWithSnapshotLocked(j *Journal) {
 		//unroller:allow lockscope -- the barrier receive under s.mu IS the quiescence protocol: workers always drain it (Shutdown cannot stop them before this reader returns), and holding s.mu is what freezes the snapshot
 		<-b.reached
 	}
-	snap := s.captureSnapshotLocked()
-	j.rotateLocked(encodeSnapshot(nil, snap))
+	j.rotateLocked(s.snapshotRecordLocked())
 	close(b.resume)
 }
 
-// captureSnapshotLocked freezes the server state. Preconditions: j.mu
-// and s.mu held, every shard worker parked on a barrier (so sh.flows
-// and sh.ctrl are quiescent).
+// snapshotRecordLocked encodes the server's snapshot record, begun with
+// beginRecord, into one buffer of exactly its size: the head from
+// captureSnapshotLocked, then the flow section straight from the shard
+// flow tables, shard by shard and slot by slot in first-seen order. The
+// buffer is the rotation's only allocation that grows with the flow
+// count, and the journal does not keep it. Preconditions are
+// captureSnapshotLocked's.
+func (s *Server) snapshotRecordLocked() []byte {
+	head := s.captureSnapshotLocked()
+	var buf [8]dataplane.DedupEntry // a window's capacity: reads never allocate
+	size, nFlows := journalRecHeader+snapshotHeadLen(head), 0
+	for _, sh := range s.shards {
+		nFlows += sh.flows.len()
+		sh.flows.each(func(sl *flowSlot) {
+			size += flowRecordLen(len(sl.w.AppendEntries(buf[:0])))
+		})
+	}
+	rec := appendSnapshotHead(beginRecord(make([]byte, 0, size)), head, nFlows)
+	for _, sh := range s.shards {
+		sh.flows.each(func(sl *flowSlot) {
+			rec = appendFlowRecord(rec, sl.flow, sl.w.AppendEntries(buf[:0]))
+		})
+	}
+	return rec
+}
+
+// captureSnapshotLocked freezes the server state but the per-flow dedup
+// windows, which snapshotRecordLocked encodes in place. Preconditions:
+// j.mu and s.mu held, every shard worker parked on a barrier (so
+// sh.flows and sh.ctrl are quiescent).
 func (s *Server) captureSnapshotLocked() *journalSnapshot {
 	snap := &journalSnapshot{
 		Conns:         s.conns64.Load(),
@@ -124,21 +150,6 @@ func (s *Server) captureSnapshotLocked() *journalSnapshot {
 		snap.Clients = append(snap.Clients, clientSeqEntry{ID: id, Spans: cs.snapshotSpans()})
 	}
 	sort.Slice(snap.Clients, func(a, b int) bool { return snap.Clients[a].ID < snap.Clients[b].ID })
-
-	for _, sh := range s.shards {
-		for flow, w := range sh.flows {
-			entries := w.Entries()
-			fe := flowWindowEntry{Flow: flow}
-			if len(entries) > 0 {
-				fe.Entries = make([]windowEntry, len(entries))
-				for i, e := range entries {
-					fe.Entries[i] = windowEntry{Reporter: uint32(e.Reporter), Hop: uint32(e.Hop)}
-				}
-			}
-			snap.Flows = append(snap.Flows, fe)
-		}
-	}
-	sort.Slice(snap.Flows, func(a, b int) bool { return snap.Flows[a].Flow < snap.Flows[b].Flow })
 	return snap
 }
 
@@ -183,7 +194,9 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	err := cfg.Journal.Replay(func(rec *journalRecord) error {
 		switch rec.kind {
 		case jrecSnapshot:
-			s.applySnapshot(rec.snap)
+			if err := s.applySnapshot(rec.snap); err != nil {
+				return err
+			}
 			// The snapshot's cut supersedes everything staged before it.
 			st.staged = st.staged[:0]
 		case jrecReport:
@@ -260,7 +273,7 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 		CrossDupes:     s.crossDupes.Load(),
 	}
 	for _, sh := range s.shards {
-		s.recoveryReport.Flows += len(sh.flows)
+		s.recoveryReport.Flows += sh.flows.len()
 	}
 	s.mu.Lock()
 	s.recovering = false
@@ -310,8 +323,9 @@ func (s *Server) ForceRotate() {
 // the replay stream supersedes everything before it (its baselines are
 // cumulative), so state rebuilt from earlier records is discarded:
 // shard controllers restart fresh and the snapshot's aggregate totals
-// become the baseline.
-func (s *Server) applySnapshot(snap *journalSnapshot) {
+// become the baseline. A snapshot that lists a flow twice is refused
+// with ErrJournalCorrupt: no rotation writes one.
+func (s *Server) applySnapshot(snap *journalSnapshot) error {
 	s.conns64.Store(snap.Conns)
 	s.frames.Store(snap.Frames)
 	s.badFrames.Store(snap.BadFrames)
@@ -338,16 +352,15 @@ func (s *Server) applySnapshot(snap *journalSnapshot) {
 	}
 	for _, sh := range s.shards {
 		sh.ctrl = dataplane.NewControllerWithConfig(s.cfg.Controller)
-		sh.flows = make(map[uint32]*dataplane.DedupWindow)
+		sh.flows = newFlowTable()
 		sh.evictions.Store(0)
 	}
 	for _, fe := range snap.Flows {
-		entries := make([]dataplane.DedupEntry, len(fe.Entries))
-		for i, e := range fe.Entries {
-			entries[i] = dataplane.DedupEntry{Reporter: detect.SwitchID(e.Reporter), Hop: int(e.Hop)}
+		sh := s.shardFor(fe.Flow)
+		if _, dup := sh.flows.index[fe.Flow]; dup {
+			return fmt.Errorf("%w: snapshot lists flow %d twice", ErrJournalCorrupt, fe.Flow)
 		}
-		w := &dataplane.DedupWindow{}
-		w.Restore(entries)
-		s.shardFor(fe.Flow).flows[fe.Flow] = w
+		sh.flows.add(fe.Flow).Restore(fe.Entries)
 	}
+	return nil
 }

@@ -32,8 +32,9 @@ type ServerConfig struct {
 	// configs are identical, so merged stats preserve the admission
 	// identities exactly.
 	Controller dataplane.ControllerConfig
-	// MaxFlows bounds each shard's per-flow dedup map. When the bound is
-	// hit the map is cleared (counted in ServerStats.FlowEvictions): a
+	// MaxFlows bounds each shard's per-flow dedup table. When the bound
+	// is hit the table starts over empty (counted in
+	// ServerStats.FlowEvictions): a
 	// report for an evicted flow may then be accepted where a single
 	// unbounded controller would have deduplicated it — bounded memory
 	// is bought with (counted) duplicate admissions, never with loss.
@@ -301,7 +302,7 @@ type shardItem struct {
 // shardBarrier quiesces the shard workers for a snapshot: each worker
 // acks on reached when it dequeues the barrier (its queue prefix fully
 // delivered) and then parks until resume closes. While every worker is
-// parked, shard flows maps and controller stats are a consistent cut.
+// parked, shard flow tables and controller stats are a consistent cut.
 // Barriers are only pushed while the journal mutex serializes all
 // ingest, so no later push can race one out of the queue.
 type shardBarrier struct {
@@ -310,7 +311,7 @@ type shardBarrier struct {
 }
 
 // shard is one independent ingest lane: bounded ring queue, controller,
-// and per-flow dedup windows. The queue is guarded by mu; the dedup map
+// and per-flow dedup windows. The queue is guarded by mu; the flow table
 // is touched only by the shard's worker goroutine.
 type shard struct {
 	mu           sync.Mutex
@@ -322,7 +323,7 @@ type shard struct {
 	closed       bool
 
 	ctrl      *dataplane.Controller
-	flows     map[uint32]*dataplane.DedupWindow
+	flows     flowTable
 	maxFlows  int
 	evictions atomic.Uint64
 }
@@ -331,7 +332,7 @@ func newShard(ctrlCfg dataplane.ControllerConfig, depth, maxFlows int) *shard {
 	sh := &shard{
 		ring:     make([]shardItem, depth),
 		ctrl:     dataplane.NewControllerWithConfig(ctrlCfg),
-		flows:    make(map[uint32]*dataplane.DedupWindow),
+		flows:    newFlowTable(),
 		maxFlows: maxFlows,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
@@ -477,18 +478,75 @@ func (sh *shard) run() {
 }
 
 // window returns (creating if needed) the flow's dedup window, applying
-// the bounded-map eviction policy.
+// the bounded-table eviction policy: a full table is replaced by a fresh
+// one, never cleared in place, so windows an undelivered batch still
+// points at stay valid.
 func (sh *shard) window(flow uint32) *dataplane.DedupWindow {
-	w := sh.flows[flow]
-	if w == nil {
-		if len(sh.flows) >= sh.maxFlows {
-			sh.flows = make(map[uint32]*dataplane.DedupWindow)
-			sh.evictions.Add(1)
-		}
-		w = &dataplane.DedupWindow{}
-		sh.flows[flow] = w
+	if i, ok := sh.flows.index[flow]; ok {
+		return &sh.flows.slot(i).w
 	}
-	return w
+	if sh.flows.len() >= sh.maxFlows {
+		sh.flows = newFlowTable()
+		sh.evictions.Add(1)
+	}
+	return sh.flows.add(flow)
+}
+
+// flowPageSlots is the slot count of one flow-table page: a shard
+// allocates one page per this many new flows.
+const flowPageSlots = 1024
+
+// flowSlot is one flow's dedup state in a flow table.
+type flowSlot struct {
+	flow uint32
+	w    dataplane.DedupWindow
+}
+
+// flowTable is a shard's dense per-flow dedup state: an index from flow
+// to slot number over fixed-size pages of slots, filled in first-seen
+// order. Neither the index nor a page holds a pointer, so the garbage
+// collector scans one small page list instead of a window per flow.
+// Pages are allocated as flows arrive and never moved or reused, which
+// keeps every *DedupWindow handed out stable for the table's lifetime.
+type flowTable struct {
+	index map[uint32]int32
+	pages []*[flowPageSlots]flowSlot
+}
+
+func newFlowTable() flowTable {
+	return flowTable{index: make(map[uint32]int32)}
+}
+
+// len returns the number of flows in the table.
+func (t *flowTable) len() int { return len(t.index) }
+
+// slot returns slot i.
+func (t *flowTable) slot(i int32) *flowSlot {
+	return &t.pages[i/flowPageSlots][i%flowPageSlots]
+}
+
+// add appends a slot for a flow the table does not hold and returns its
+// (empty) window.
+func (t *flowTable) add(flow uint32) *dataplane.DedupWindow {
+	i := int32(len(t.index))
+	if int(i) == len(t.pages)*flowPageSlots {
+		t.pages = append(t.pages, new([flowPageSlots]flowSlot))
+	}
+	t.index[flow] = i
+	sl := t.slot(i)
+	sl.flow = flow
+	return &sl.w
+}
+
+// each calls fn for every slot in first-seen order.
+func (t *flowTable) each(fn func(*flowSlot)) {
+	n := len(t.index)
+	for _, pg := range t.pages {
+		for k := range pg[:min(n, flowPageSlots)] {
+			fn(&pg[k])
+		}
+		n -= flowPageSlots
+	}
 }
 
 // deliver runs one report through the per-flow dedup path into the

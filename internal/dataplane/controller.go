@@ -201,21 +201,20 @@ type DedupEntry struct {
 	Hop      int
 }
 
-// Entries returns the window's live slots in insertion order.
-func (d *DedupWindow) Entries() []DedupEntry {
-	if d.n == 0 {
-		return nil
-	}
-	out := make([]DedupEntry, d.n)
+// AppendEntries appends the window's live slots to dst in insertion
+// order and returns the extended slice. It allocates only when dst is
+// short of capacity: a caller with a stack array of the window's
+// capacity (8 slots) reads a window for free.
+func (d *DedupWindow) AppendEntries(dst []DedupEntry) []DedupEntry {
 	for i := 0; i < d.n; i++ {
-		out[i] = DedupEntry{Reporter: d.e[i].reporter, Hop: d.e[i].hop}
+		dst = append(dst, DedupEntry{Reporter: d.e[i].reporter, Hop: d.e[i].hop})
 	}
-	return out
+	return dst
 }
 
 // Restore rebuilds the window from previously captured entries,
-// truncating to capacity. Entries(); Restore() is the identity for any
-// window the controller can produce.
+// truncating to capacity. AppendEntries then Restore is the identity
+// for any window the controller can produce.
 func (d *DedupWindow) Restore(entries []DedupEntry) {
 	d.n = 0
 	for _, e := range entries {

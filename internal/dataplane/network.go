@@ -61,10 +61,10 @@ type Network struct {
 
 	// OnHop, when set, observes every packet arrival before the switch
 	// pipeline runs — the tap a mirroring/tracing deployment would
-	// install (internal/trace records through it). The callback must
-	// not retain p (its slices alias reused scratch buffers), and must
-	// itself be safe for concurrent use before driving the network from
-	// multiple goroutines.
+	// install (cmd/unroller-offline records its trace through it). The
+	// callback must not retain p (its slices alias reused scratch
+	// buffers), and must itself be safe for concurrent use before
+	// driving the network from multiple goroutines.
 	OnHop func(node int, sw detect.SwitchID, p *Packet)
 
 	// OnReport, when set, observes every loop report raised in the data
