@@ -7,7 +7,7 @@
 #   make vettool rebuild unroller-vet and run it under `go vet`
 #                (unitchecker mode, incremental + cached)
 #   make race    unit tests under the race detector
-#   make fuzz    smoke run of every fuzz target (bitpack 5s each,
+#   make fuzz    smoke run of every fuzz target (bitpack and core 5s each,
 #                dataplane packet wire format, collectorsvc report
 #                frames, journal segments, and the static FIB verifier
 #                10s each)
@@ -50,6 +50,8 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 5s ./internal/bitpack
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 5s ./internal/bitpack
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzVisitSequence$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPacket$$' -fuzztime 10s ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz '^FuzzReportFrame$$' -fuzztime 10s ./internal/collectorsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 10s ./internal/collectorsvc

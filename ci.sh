@@ -59,9 +59,11 @@
 #                 epoch of a torus churn run (route deltas, link flap,
 #                 restart), report reuse for untouched destinations,
 #                 and a Clear for an unknown destination as a no-op
-#   fuzz smoke    5s of each bitpack fuzz target and 10s each of the
-#                 packet wire-format, collector report-frame, journal
-#                 segment, and static FIB verifier targets (`-fuzz
+#   fuzz smoke    5s of each bitpack fuzz target and of the Unroller
+#                 header decoder and visit-sequence targets, and 10s
+#                 each of the packet wire-format, collector
+#                 report-frame, journal segment, and static FIB
+#                 verifier targets (`-fuzz
 #                 Fuzz` would refuse to run because several targets
 #                 match, so each is invoked by exact name)
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
@@ -129,6 +131,10 @@ go test -race -run 'TestOracle' -count 1 ./internal/scenario ./internal/verify
 echo "==> fuzz smoke (internal/bitpack, 5s per target)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/bitpack
 go test -run '^$' -fuzz '^FuzzWriterRoundTrip$' -fuzztime 5s ./internal/bitpack
+
+echo "==> fuzz smoke (internal/core header decoder and visit sequences, 5s per target)"
+go test -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzVisitSequence$' -fuzztime 5s ./internal/core
 
 echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
 go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane

@@ -8,14 +8,20 @@
 // network header conventions.
 package bitpack
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrShortBuffer is returned by Reader when a read runs past the end of the
 // underlying buffer.
 var ErrShortBuffer = errors.New("bitpack: read past end of buffer")
+
+// errInvalidWidth is the panic value for a field wider than 64 bits, a
+// programming error rather than a wire condition.
+var errInvalidWidth = errors.New("bitpack: invalid width (want 0..64 bits)")
+
+// maxWord is the widest field that fits one 64-bit word at any bit
+// offset within its first byte (56 + 7 < 64); wider fields are moved as
+// two.
+const maxWord = 56
 
 // Writer appends bit fields to a byte slice.
 // The zero value is an empty writer ready for use.
@@ -25,29 +31,48 @@ type Writer struct {
 }
 
 // WriteBits appends the low width bits of v, most significant bit first.
-// width must be in [0, 64]; width 0 is a no-op.
+// width must be in [0, 64]; width 0 is a no-op. The field is placed with
+// one shift into a 64-bit word aligned to the writer's bit offset and
+// then stored byte by byte, so the cost per field does not depend on how
+// it straddles byte boundaries.
+//
+//unroller:hotpath
 func (w *Writer) WriteBits(v uint64, width uint) {
 	if width > 64 {
-		panic(fmt.Sprintf("bitpack: invalid width %d", width))
+		panic(errInvalidWidth)
 	}
-	if width < 64 {
-		v &= (1 << width) - 1
+	if width > maxWord {
+		// Wider than one aligned word can hold at every offset: the
+		// high part first, then the low 32 bits.
+		w.WriteBits(v>>32, width-32)
+		v, width = v&0xFFFFFFFF, 32
 	}
-	for width > 0 {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - w.nbit%8 // free bits in the last byte
-		take := free
-		if width < take {
-			take = width
-		}
-		chunk := byte((v >> (width - take)) & (1<<take - 1))
-		//unroller:allow wirewidth -- chunk has ≤ take bits; take + (free−take) = free ≤ 8
-		w.buf[len(w.buf)-1] |= chunk << (free - take)
-		w.nbit += take
-		width -= take
+	if width == 0 {
+		return
 	}
+	off := w.nbit % 8
+	first := int(w.nbit / 8)
+	w.nbit += width
+	n := int((w.nbit + 7) / 8)
+	w.grow(n)
+	// The field's bits occupy word bits [63−off, 64−off−width]; every
+	// byte it touches is the matching byte of word.
+	word := v << (64 - width) >> off
+	b := w.buf[first:n]
+	b[0] = b[0]&^byte(0xFF>>off&0xFF) | byte(word>>56&0xFF)
+	for i := 1; i < len(b); i++ {
+		b[i] = byte(word >> (56 - 8*uint(i)) & 0xFF)
+	}
+}
+
+// grow extends buf to n bytes, reallocating only once its capacity is
+// exhausted. Bytes it exposes may hold stale data; WriteBits overwrites
+// every bit of them.
+func (w *Writer) grow(n int) {
+	if n > cap(w.buf) {
+		w.buf = append(w.buf[:cap(w.buf)], make([]byte, n-cap(w.buf))...)
+	}
+	w.buf = w.buf[:n]
 }
 
 // WriteBool appends a single bit.
@@ -92,30 +117,31 @@ type Reader struct {
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // ReadBits reads the next width bits (most significant first) and returns
-// them in the low bits of the result. width must be in [0, 64].
+// them in the low bits of the result. width must be in [0, 64]. The
+// bytes the field touches are gathered into one 64-bit word and the
+// field is cut out of it with one shift and one mask.
+//
+//unroller:hotpath
 func (r *Reader) ReadBits(width uint) (uint64, error) {
 	if width > 64 {
-		panic(fmt.Sprintf("bitpack: invalid width %d", width))
+		panic(errInvalidWidth)
 	}
-	if r.pos+width > uint(len(r.buf))*8 {
+	end := r.pos + width
+	if end > uint(len(r.buf))*8 {
 		return 0, ErrShortBuffer
 	}
-	var v uint64
-	remaining := width
-	for remaining > 0 {
-		byteIdx := r.pos / 8
-		bitOff := r.pos % 8
-		avail := 8 - bitOff
-		take := avail
-		if remaining < take {
-			take = remaining
-		}
-		chunk := uint64(r.buf[byteIdx]>>(avail-take)) & ((1 << take) - 1)
-		v = v<<take | chunk
-		r.pos += take
-		remaining -= take
+	if width > maxWord {
+		// Neither read can fail: the check above covers both.
+		hi, _ := r.ReadBits(width - 32)
+		lo, _ := r.ReadBits(32)
+		return hi<<32 | lo, nil
 	}
-	return v, nil
+	var word uint64
+	for _, b := range r.buf[r.pos/8 : (end+7)/8] {
+		word = word<<8 | uint64(b)
+	}
+	r.pos = end
+	return word >> ((8 - end%8) % 8) & (1<<width - 1), nil
 }
 
 // ReadBool reads a single bit.

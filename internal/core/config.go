@@ -124,7 +124,7 @@ func (c Config) Validate() error {
 // hashed reports whether identifiers pass through the hash family before
 // being stored. Raw storage is only sound for a single full-width slot
 // value per switch.
-func (c Config) hashed() bool {
+func (c *Config) hashed() bool {
 	return c.HashIDs || c.Hashes > 1 || c.ZBits < 32
 }
 

@@ -168,3 +168,30 @@ func TestTTLHopCountNoOverflowGuard(t *testing.T) {
 		t.Fatalf("TTL-mode encode must not overflow: %v", err)
 	}
 }
+
+// TestDecodeHeaderAtHopBound: an externally supplied hop count above
+// 255 — more than an IP TTL can account for — is refused by both TTL
+// decoders, so every decoded state is covered by the phase table; 255
+// itself decodes.
+func TestDecodeHeaderAtHopBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TTLHopCount = true
+	u := MustNew(cfg)
+	buf, err := u.NewPacketState().AppendHeader(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := u.DecodeHeaderAt(buf, 256); err == nil {
+		t.Fatal("DecodeHeaderAt accepted 256 hops")
+	}
+	if err := u.DecodeHeaderAtInto(u.NewPacketState(), buf, 1<<40); err == nil {
+		t.Fatal("DecodeHeaderAtInto accepted 2^40 hops")
+	}
+	st, err := u.DecodeHeaderAt(buf, 255)
+	if err != nil {
+		t.Fatalf("255 hops: %v", err)
+	}
+	if want := phaseAt(255, &cfg); st.Hops() != 255 || st.ph != want {
+		t.Fatalf("255 hops decoded to x=%d phase %+v, want phase %+v", st.Hops(), st.ph, want)
+	}
+}

@@ -8,7 +8,9 @@ import (
 
 // FuzzDecodeHeader throws arbitrary bytes at the header decoder across
 // several configurations: it must either error or return a state whose
-// fields are in range — never panic, never produce a slot wider than z.
+// fields are in range — never panic, never produce a slot wider than z —
+// whose phase is the one the schedule walk gives, and which survives a
+// re-encode unchanged.
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add([]byte{0x05, 0xDE, 0xAD, 0xBE, 0xEF}, uint8(0))
 	f.Add([]byte{}, uint8(1))
@@ -29,6 +31,22 @@ func FuzzDecodeHeader(f *testing.F) {
 			if sv > sent {
 				t.Fatalf("slot %d holds %d, beyond the %d-bit sentinel", i, sv, cfg.ZBits)
 			}
+		}
+		if x := st.Hops(); x > 0 && st.ph != phaseAt(x, &cfg) {
+			t.Fatalf("hop %d: table phase %+v, iterative %+v", x, st.ph, phaseAt(x, &cfg))
+		}
+		// Re-encoding and decoding again reproduces the state.
+		wire, err := st.AppendHeader(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := u.DecodeHeader(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Hops() != st.Hops() || again.Matches() != st.Matches() || !equalSlots(again.Slots(), st.Slots()) {
+			t.Fatalf("re-encoded state differs: %d/%d/%v vs %d/%d/%v",
+				again.Hops(), again.Matches(), again.Slots(), st.Hops(), st.Matches(), st.Slots())
 		}
 		// A decoded state must keep functioning.
 		for h := 0; h < 10; h++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/unroller/unroller/internal/bitpack"
 )
@@ -34,19 +35,21 @@ func (c Config) HeaderBytes() int { return (c.HeaderBits() + 7) / 8 }
 //
 // The per-chunk reset flags are not encoded: they are recomputed from
 // Xcnt on decode.
+//
+//unroller:hotpath
 func (s *State) EncodeHeader(w *bitpack.Writer) error {
-	cfg := &s.det.cfg
-	if !cfg.TTLHopCount {
+	u := s.det
+	if u.hopBits > 0 {
 		if s.x > 255 {
 			return errHopOverflow
 		}
-		w.WriteBits(s.x, hopCounterBits)
+		w.WriteBits(s.x, u.hopBits)
 	}
 	for _, sv := range s.slots {
-		w.WriteBits(sv, cfg.ZBits)
+		w.WriteBits(sv, u.cfg.ZBits)
 	}
-	if tb := thresholdBits(cfg.Threshold); tb > 0 {
-		w.WriteBits(uint64(s.thcnt), uint(tb))
+	if u.thBits > 0 {
+		w.WriteBits(uint64(s.thcnt), u.thBits)
 	}
 	return nil
 }
@@ -71,18 +74,19 @@ func (u *Unroller) DecodeHeader(buf []byte) (*State, error) {
 	if u.cfg.TTLHopCount {
 		return nil, fmt.Errorf("core: %s elides the hop counter; use DecodeHeaderAt with the TTL-derived hop count", u.cfg)
 	}
-	return u.decode(buf, 0, false)
+	return u.decode(buf, 0)
 }
 
 // DecodeHeaderAt decodes a header whose hop counter is not carried on
 // the wire (Config.TTLHopCount): hops supplies the externally derived
 // count of hops the packet has already taken — e.g. initial TTL minus
-// current TTL (footnote 3 of the paper).
+// current TTL (footnote 3 of the paper). hops must be at most 255, the
+// range of an IP TTL, so that the phase lookup table covers it.
 func (u *Unroller) DecodeHeaderAt(buf []byte, hops uint64) (*State, error) {
 	if !u.cfg.TTLHopCount {
 		return nil, fmt.Errorf("core: %s carries its own hop counter; use DecodeHeader", u.cfg)
 	}
-	return u.decode(buf, hops, true)
+	return u.decode(buf, hops)
 }
 
 // DecodeHeaderInto is DecodeHeader decoding into st instead of
@@ -95,7 +99,7 @@ func (u *Unroller) DecodeHeaderInto(st *State, buf []byte) error {
 	if u.cfg.TTLHopCount {
 		return fmt.Errorf("core: %s elides the hop counter; use DecodeHeaderAtInto with the TTL-derived hop count", u.cfg)
 	}
-	return u.decodeInto(st, buf, 0, false)
+	return u.decodeInto(st, buf, 0)
 }
 
 // DecodeHeaderAtInto is DecodeHeaderAt decoding into st, under the same
@@ -104,77 +108,88 @@ func (u *Unroller) DecodeHeaderAtInto(st *State, buf []byte, hops uint64) error 
 	if !u.cfg.TTLHopCount {
 		return fmt.Errorf("core: %s carries its own hop counter; use DecodeHeaderInto", u.cfg)
 	}
-	return u.decodeInto(st, buf, hops, true)
+	return u.decodeInto(st, buf, hops)
 }
 
-func (u *Unroller) decode(buf []byte, hops uint64, external bool) (*State, error) {
+func (u *Unroller) decode(buf []byte, hops uint64) (*State, error) {
 	s := u.NewPacketState()
-	if err := u.decodeInto(s, buf, hops, external); err != nil {
+	if err := u.decodeInto(s, buf, hops); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (u *Unroller) decodeInto(s *State, buf []byte, hops uint64, external bool) error {
-	cfg := &u.cfg
+// decodeInto checks that buf can hold a header for u and that st is u's,
+// then unpacks it. hops is the externally derived hop count when the
+// configuration elides Xcnt, and 0 otherwise.
+func (u *Unroller) decodeInto(s *State, buf []byte, hops uint64) error {
 	if s.det != u {
 		return fmt.Errorf("core: decode target state belongs to a different detector")
 	}
-	if len(buf) < cfg.HeaderBytes() {
-		return fmt.Errorf("%w: need %d bytes, have %d", ErrHeaderTooShort, cfg.HeaderBytes(), len(buf))
+	if len(buf) < u.hdrBytes {
+		return fmt.Errorf("%w: need %d bytes, have %d", ErrHeaderTooShort, u.hdrBytes, len(buf))
 	}
+	if hops >= uint64(len(u.phases)) {
+		return fmt.Errorf("core: hop count %d exceeds 255, the most an IP TTL allows", hops)
+	}
+	s.unpack(buf, hops)
+	return nil
+}
+
+// unpack overwrites every field of s from the header in buf, which
+// decodeInto has checked is long enough, so no read can fail. Thcnt is
+// zero when Th = 1 leaves it off the wire, and the phase cache comes
+// from the hop counter, so a reused state is indistinguishable from a
+// fresh one.
+//
+//unroller:hotpath
+func (s *State) unpack(buf []byte, hops uint64) {
+	u := s.det
 	r := bitpack.NewReader(buf)
-	// Scrub state the wire may not carry (thcnt when Th = 1) and state
-	// rebuildPhase leaves untouched for pristine packets (ph, reset), so
-	// a reused target is indistinguishable from a fresh one.
-	s.thcnt = 0
-	s.ph = phase{}
-	for j := range s.reset {
-		s.reset[j] = false
-	}
-	if external {
-		s.x = hops
-	} else {
-		x, err := r.ReadBits(hopCounterBits)
-		if err != nil {
-			return err
-		}
-		s.x = x
+	s.x = hops
+	if u.hopBits > 0 {
+		s.x, _ = r.ReadBits(u.hopBits)
 	}
 	for i := range s.slots {
-		v, err := r.ReadBits(cfg.ZBits)
-		if err != nil {
-			return err
-		}
-		s.slots[i] = v
+		s.slots[i], _ = r.ReadBits(u.cfg.ZBits)
 	}
-	if tb := thresholdBits(cfg.Threshold); tb > 0 {
-		th, err := r.ReadBits(uint(tb))
-		if err != nil {
-			return err
-		}
+	s.thcnt = 0
+	if u.thBits > 0 {
+		th, _ := r.ReadBits(u.thBits)
 		s.thcnt = int(th)
 	}
 	s.rebuildPhase()
-	return nil
 }
 
 // rebuildPhase recomputes the cached phase and chunk-reset flags from the
 // hop counter, making decoded state bit-equivalent to the state that was
-// encoded.
+// encoded: one read of the phase table, then a closed form per chunk.
+// Chunk j's window starts at offset ⌈j·len/c⌉ of its phase, so it has
+// reset this phase iff the window is non-empty and starts at or before
+// the current offset. A pristine packet (x = 0) gets the zero phase and
+// no resets; its first Visit starts phase 0.
+//
+//unroller:hotpath
 func (s *State) rebuildPhase() {
-	cfg := &s.det.cfg
-	if s.x == 0 {
-		return // pristine packet: first Visit initialises the phase
-	}
-	s.ph = phaseAt(s.x, cfg)
-	// A chunk has reset this phase iff its window's first hop is ≤ x.
+	s.ph = s.det.phases[s.x]
+	c := uint64(len(s.reset))
+	off := s.x - s.ph.start
 	for j := range s.reset {
-		s.reset[j] = false
+		s.reset[j] = s.x > 0 && chunkReset(uint64(j), off, s.ph.len, c)
 	}
-	for off := uint64(0); off <= s.x-s.ph.start; off++ {
-		if j, first := chunkIndex(off, s.ph.len, cfg.Chunks); first {
-			s.reset[j] = true
-		}
+}
+
+// chunkReset reports whether chunk j of c has reset by offset off of a
+// phase of length plen: its window [⌈j·plen/c⌉, ⌈(j+1)·plen/c⌉) is
+// non-empty and j·plen ≤ off·c, i.e. the window starts at or before off.
+// Windows are empty only when plen < c, where the products are small.
+//
+//unroller:hotpath
+func chunkReset(j, off, plen, c uint64) bool {
+	hiJ, loJ := bits.Mul64(j, plen)
+	hiO, loO := bits.Mul64(off, c)
+	if hiJ > hiO || hiJ == hiO && loJ > loO {
+		return false
 	}
+	return plen >= c || (j*plen+c-1)/c < ((j+1)*plen+c-1)/c
 }

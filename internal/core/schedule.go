@@ -111,11 +111,11 @@ func firstPhase(cfg *Config) phase {
 	}
 }
 
-// phaseAt returns the phase containing hop x (1-based) under cfg. It is
-// used when reconstructing state from a decoded header, where only the
-// hop counter is carried on the wire (Table 3 of the paper): the P4
-// implementation derives phase membership from Xcnt with a lookup table,
-// and this is the software equivalent.
+// phaseAt returns the phase containing hop x (1-based) under cfg by
+// walking the schedule from phase 0. New builds the Unroller's phase
+// lookup table with it: a decoded header carries only the hop counter
+// (Table 3 of the paper), and the P4 implementation derives phase
+// membership from Xcnt with exactly such a table.
 func phaseAt(x uint64, cfg *Config) phase {
 	if x == 0 {
 		panic("core: phaseAt called before the first hop")
@@ -141,7 +141,7 @@ func satMul(a, b uint64) uint64 {
 // chunkIndex returns which of c chunks the offset-th hop of a phase of
 // length plen belongs to, together with whether this hop is the first hop
 // of that chunk's window. Chunk j covers offsets
-// [floor(plen·j/c), floor(plen·(j+1)/c)); when plen < c some windows are
+// [⌈plen·j/c⌉, ⌈plen·(j+1)/c⌉); when plen < c some windows are
 // empty and their slots simply keep the previous phase's value.
 func chunkIndex(offset, plen uint64, c int) (idx int, first bool) {
 	if c == 1 {
@@ -163,20 +163,16 @@ func mulDiv(a, b, d uint64) uint64 {
 	return q
 }
 
-// PhaseStartTable returns a lookup table t where t[x] reports whether hop
-// counter value x begins a new phase under cfg. The P4 implementation
-// (§4) uses exactly this 256-entry table to avoid per-packet power
-// computations on targets where b is not a power of two. Index 0 is
-// unused (hops are 1-based).
-func PhaseStartTable(cfg Config, size int) []bool {
-	if size <= 0 {
-		size = 256
-	}
-	t := make([]bool, size)
-	p := firstPhase(&cfg)
-	for int(p.start) < size {
-		t[p.start] = true
-		p = p.next(&cfg)
+// PhaseStartLUT returns the 256-entry lookup-table register of the P4
+// implementation (§4): t[x] reports whether hop counter value x begins a
+// new phase, so targets where b is not a power of two avoid per-packet
+// power computations. It is rendered from the phase table the header
+// decoder reads, so the two cannot disagree. Index 0 is unused (hops are
+// 1-based).
+func (u *Unroller) PhaseStartLUT() []bool {
+	t := make([]bool, len(u.phases))
+	for x := 1; x < len(t); x++ {
+		t[x] = u.phases[x].start == uint64(x)
 	}
 	return t
 }

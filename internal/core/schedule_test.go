@@ -103,19 +103,69 @@ func TestPhaseAt(t *testing.T) {
 	}
 }
 
-// TestPhaseStartTable checks the P4 lookup table against phase starts.
+// TestPhaseStartTable checks the P4 lookup-table register, rendered
+// from the decoder's phase table, against phase starts.
 func TestPhaseStartTable(t *testing.T) {
 	for _, b := range []int{2, 3, 4, 6} {
 		for _, k := range []ScheduleKind{ScheduleAnalysis, ScheduleHardware} {
 			cfg := cfgFor(b, k)
-			tab := PhaseStartTable(*cfg, 256)
+			tab := MustNew(*cfg).PhaseStartLUT()
 			if len(tab) != 256 {
 				t.Fatalf("table size %d", len(tab))
+			}
+			if tab[0] {
+				t.Errorf("b=%d %v: unused entry 0 is set", b, k)
 			}
 			for x := uint64(1); x < 256; x++ {
 				want := phaseAt(x, cfg).start == x
 				if tab[x] != want {
 					t.Errorf("b=%d %v: table[%d]=%v, want %v", b, k, x, tab[x], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPhaseTableMatchesIterative: for every hop counter value a header
+// can carry, the decoder's table read and closed-form chunk resets
+// equal what the iterative reference computes — phaseAt walking the
+// schedule from phase 0, then every offset of the phase up to x marking
+// the chunks whose window opens there. Covers every schedule kind,
+// bases 2–6, a fractional lookup table, and chunk counts 1–8 and 200
+// (where most windows of the early phases are empty).
+func TestPhaseTableMatchesIterative(t *testing.T) {
+	var cfgs []Config
+	for b := 2; b <= 6; b++ {
+		for _, k := range []ScheduleKind{ScheduleAnalysis, ScheduleHardware, ScheduleLookup} {
+			cfgs = append(cfgs, *cfgFor(b, k))
+		}
+	}
+	frac := DefaultConfig()
+	frac.Schedule, frac.PhaseTable = ScheduleLookup, FractionalPhaseTable(OptimalWorstCaseBase(), 12)
+	cfgs = append(cfgs, frac)
+	for _, base := range cfgs {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 200} {
+			cfg := base
+			cfg.Chunks = c
+			u := MustNew(cfg)
+			st := u.NewPacketState()
+			for x := uint64(1); x < 256; x++ {
+				st.x = x
+				st.rebuildPhase()
+				want := phaseAt(x, &cfg)
+				if st.ph != want {
+					t.Fatalf("%v x=%d: table phase %+v, iterative %+v", cfg, x, st.ph, want)
+				}
+				wantReset := make([]bool, c)
+				for off := uint64(0); off <= x-want.start; off++ {
+					if j, first := chunkIndex(off, want.len, c); first {
+						wantReset[j] = true
+					}
+				}
+				for j := range wantReset {
+					if st.reset[j] != wantReset[j] {
+						t.Fatalf("%v x=%d: chunk %d reset %v, iterative %v", cfg, x, j, st.reset[j], wantReset[j])
+					}
 				}
 			}
 		}

@@ -24,6 +24,18 @@ import (
 type Unroller struct {
 	cfg    Config
 	family xhash.Family
+
+	// The header layout, fixed by cfg: the encoded size in bytes and
+	// the widths of the hop counter (0 when the TTL carries it) and of
+	// the threshold counter (0 for Th = 1).
+	hdrBytes int
+	hopBits  uint
+	thBits   uint
+	// phases is the phase lookup table of §4: phases[x] is the phase
+	// containing hop x for every value the 8-bit hop counter can take.
+	// Entry 0, a packet that has visited no switch, is the zero phase.
+	// The decoder reads it and PhaseStartLUT renders it.
+	phases [256]phase
 }
 
 // New returns an Unroller for the given configuration.
@@ -31,7 +43,19 @@ func New(cfg Config) (*Unroller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid config: %w", err)
 	}
-	return &Unroller{cfg: cfg, family: cfg.family()}, nil
+	u := &Unroller{
+		cfg:      cfg,
+		family:   cfg.family(),
+		hdrBytes: cfg.HeaderBytes(),
+		thBits:   uint(thresholdBits(cfg.Threshold)),
+	}
+	if !cfg.TTLHopCount {
+		u.hopBits = hopCounterBits
+	}
+	for x := 1; x < len(u.phases); x++ {
+		u.phases[x] = phaseAt(uint64(x), &u.cfg)
+	}
+	return u, nil
 }
 
 // MustNew is New for statically known-good configurations; it panics on

@@ -101,8 +101,9 @@ func (a LoopAction) String() string {
 
 // processCollect handles a packet already in collection mode: the
 // initiator closes the lap and reports; everyone else appends its
-// identifier and forwards along the (still looping) FIB.
-func (s *Switch) processCollect(p *Packet) (Decision, error) {
+// identifier and forwards along the (still looping) FIB towards the
+// destination at node dst.
+func (s *Switch) processCollect(p *Packet, dst int) (Decision, error) {
 	rec, err := unmarshalCollect(p.Telemetry)
 	if err != nil {
 		return Decision{}, fmt.Errorf("dataplane: %v: %w", s.ID, err)
@@ -125,5 +126,5 @@ func (s *Switch) processCollect(p *Packet) (Decision, error) {
 		}
 		p.Telemetry = tel
 	}
-	return s.forward(s.assign.Node(p.Dst)), nil
+	return s.forward(dst), nil
 }

@@ -98,6 +98,40 @@ func TestDeliveryWithoutLoop(t *testing.T) {
 	}
 }
 
+// TestRewrittenDstReresolved: the hop loop resolves the destination to a
+// node once per journey, so a destination rewritten on the wire (here by
+// the OnHop tap, standing in for corruption) must be resolved again: the
+// packet is then forwarded to, and delivered at, the new destination.
+func TestRewrittenDstReresolved(t *testing.T) {
+	g, _ := topology.FatTree(4)
+	n := buildNet(t, g, core.DefaultConfig(), 1)
+	for _, dst := range []int{19, 10} {
+		if err := n.InstallShortestPaths(dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toOld, _ := n.Switch(5).Route(n.Assign.ID(19))
+	toNew, _ := n.Switch(5).Route(n.Assign.ID(10))
+	if toOld == toNew {
+		t.Fatalf("node 5 routes 19 and 10 through the same port %d; the test needs different ones", toOld)
+	}
+	n.OnHop = func(node int, _ detect.SwitchID, p *Packet) {
+		if node == 5 {
+			p.Dst = n.Assign.ID(10)
+		}
+	}
+	tr, err := n.Send(5, 19, 1, 64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Hops[0].Decision.Egress; got != toNew {
+		t.Fatalf("rewriting hop forwarded on port %d, want %d towards the new destination (port %d leads to the old one)", got, toNew, toOld)
+	}
+	if last := tr.Hops[len(tr.Hops)-1]; tr.Final != Deliver || last.Node != 10 {
+		t.Fatalf("final %v at node %d, want deliver at the rewritten destination 10", tr.Final, last.Node)
+	}
+}
+
 // TestLoopDetectedAndDropped: inject a loop, packet must be dropped by a
 // loop report (not TTL), and the controller hears about it.
 func TestLoopDetectedAndDropped(t *testing.T) {
@@ -339,6 +373,65 @@ func TestSwitchValidation(t *testing.T) {
 	}
 	if dec.Disposition != DropNoRoute || sw.Stats().NoRoute != 1 {
 		t.Fatalf("no-route handling: %v", dec.Disposition)
+	}
+}
+
+// star returns a hub (node 0) with leaves switches around it: the hub
+// has one port per leaf, port p leading to leaf p+1.
+func star(t *testing.T, leaves int) *topology.Graph {
+	t.Helper()
+	g := topology.NewGraph("star", leaves+1)
+	g.AddNode("")
+	for v := 1; v <= leaves; v++ {
+		if err := g.AddEdge(0, g.AddNode("")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestPortLimit: a one-byte forwarding table names ports 0–254, so a
+// 255-port switch routes through every port — the last one included,
+// one below the no-route marker — and NewNetwork refuses a 256-port
+// switch, naming it.
+func TestPortLimit(t *testing.T) {
+	g := star(t, 255)
+	n := buildNet(t, g, core.DefaultConfig(), 12)
+	hub := n.Switch(0)
+	if hub.Ports() != 255 {
+		t.Fatalf("hub has %d ports", hub.Ports())
+	}
+	for leaf := 1; leaf <= 255; leaf++ {
+		if err := n.InstallShortestPaths(leaf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routes := hub.Routes()
+	if len(routes) != 255 {
+		t.Fatalf("hub has %d routes, want 255", len(routes))
+	}
+	for leaf := 1; leaf <= 255; leaf++ {
+		id := n.Assign.ID(leaf)
+		port, ok := hub.Route(id)
+		if !ok || port != PortID(leaf-1) || routes[id] != port {
+			t.Fatalf("leaf %d: Route = %d, %v; Routes has %d; want port %d", leaf, port, ok, routes[id], leaf-1)
+		}
+	}
+	tr, err := n.Send(1, 255, 1, InitialTTL, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Final != Deliver || len(tr.Hops) != 3 || tr.Hops[1].Decision.Egress != 254 {
+		t.Fatalf("leaf 1 → leaf 255: %v after %d hops", tr.Final, len(tr.Hops))
+	}
+	if got := n.LinkLoad(0, 255); got != 1 {
+		t.Fatalf("hub's last link carried %d packets, want 1", got)
+	}
+
+	g = star(t, 256)
+	_, err = NewNetwork(g, topology.NewAssignment(g, xrand.New(12)), core.DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), "node 0 has 256 ports") {
+		t.Fatalf("256-port switch: err = %v, want one naming node 0", err)
 	}
 }
 

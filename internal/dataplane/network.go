@@ -42,7 +42,6 @@ type Network struct {
 	// accumulators and merge them here when their flows finish.
 	links     [][2]int
 	linkIndex map[[2]int]int
-	portLink  [][]int // portLink[node][port] = link index
 	linkLoad  []atomic.Uint64
 
 	// linkUp[i] is the physical state of links[i]; false means the wire
@@ -84,8 +83,14 @@ type Network struct {
 type ReportHook func(ev LoopEvent, hop int)
 
 // NewNetwork builds switches over g with identifiers from assign, all
-// running the same Unroller configuration.
+// running the same Unroller configuration. A node may have at most 255
+// ports, the most a one-byte forwarding-table entry can name.
 func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config) (*Network, error) {
+	for node := 0; node < g.N(); node++ {
+		if d := len(g.Neighbors(node)); d > maxPorts {
+			return nil, fmt.Errorf("dataplane: node %d has %d ports, more than the %d a switch's forwarding table can address", node, d, maxPorts)
+		}
+	}
 	u, err := core.New(cfg)
 	if err != nil {
 		return nil, err
@@ -111,8 +116,9 @@ func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config)
 }
 
 // indexLinks enumerates the undirected links in ascending (u, v) order
-// and precomputes the per-port link index every forwarding hop uses, so
-// the hop loop does one slice lookup instead of hashing a map key.
+// and gives every switch its per-port link index, so a forwarding hop
+// finds its link with one read of the switch's own table instead of
+// hashing a map key.
 func (n *Network) indexLinks() {
 	g := n.Graph
 	for u := 0; u < g.N(); u++ {
@@ -138,18 +144,11 @@ func (n *Network) indexLinks() {
 	for i := range n.linkUp {
 		n.linkUp[i] = true
 	}
-	n.portLink = make([][]int, g.N())
-	for u := 0; u < g.N(); u++ {
-		nbrs := g.Neighbors(u)
-		pl := make([]int, len(nbrs))
-		for p, v := range nbrs {
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			pl[p] = n.linkIndex[[2]int{a, b}]
+	for u, sw := range n.switches {
+		for p := range sw.ports {
+			v := int(sw.ports[p].peer)
+			sw.ports[p].link = int32(n.linkIndex[[2]int{min(u, v), max(u, v)}])
 		}
-		n.portLink[u] = pl
 	}
 }
 
@@ -203,8 +202,8 @@ func (n *Network) SetLink(u, v int, up bool) error {
 	if err != nil {
 		return err
 	}
-	n.switches[u].portUp[pu] = up
-	n.switches[v].portUp[pv] = up
+	n.switches[u].ports[pu].up = up
+	n.switches[v].ports[pv].up = up
 	return nil
 }
 
@@ -453,6 +452,10 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		p.Telemetry = sc.tel
 	}
 	sc.dedup.Reset()
+	// The destination is resolved to its node once per journey, and
+	// again only if the parsed Dst changes (wire corruption, or the
+	// OnHop tap rewriting it).
+	dstID, dst := p.Dst, f.Dst
 	cur := f.Src
 	// tainted records that an earlier hop's wire corruption struck this
 	// packet: any later parse or pipeline failure is then the fault
@@ -484,7 +487,10 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		if n.OnHop != nil {
 			n.OnHop(cur, sw.ID, p)
 		}
-		dec, err := sw.process(p, sc.st)
+		if p.Dst != dstID {
+			dstID, dst = p.Dst, n.Assign.Node(p.Dst)
+		}
+		dec, err := sw.process(p, sc.st, dst)
 		if sc.tallies != nil {
 			sc.tallies[cur].count(dec, err)
 		} else {
@@ -538,13 +544,14 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 			}
 			fallthrough
 		case Forward:
-			li := n.portLink[cur][dec.Egress]
+			egress := &sw.ports[dec.Egress]
+			li := egress.link
 			if sc.loads != nil {
 				sc.loads[li]++
 			} else {
 				n.linkLoad[li].Add(1)
 			}
-			cur = sw.Peer(dec.Egress)
+			cur = int(egress.peer)
 		default:
 			return sum, fmt.Errorf("dataplane: unexpected disposition %v", dec.Disposition)
 		}

@@ -94,7 +94,8 @@ const InitialTTL = 255
 // Switch is one forwarding element. Per the paper, Unroller keeps no
 // per-flow state on the switch: the registers hold only the switch's own
 // identifier, the algorithm configuration, and the 256-entry phase-start
-// lookup table. The FIB is ordinary destination-based forwarding state.
+// lookup table (shared with every switch through the detector). The FIB
+// is ordinary destination-based forwarding state.
 type Switch struct {
 	// ID is the switch identifier announced in packets.
 	ID detect.SwitchID
@@ -106,27 +107,26 @@ type Switch struct {
 	LoopPolicy LoopAction
 
 	// fib[d] is the egress port towards the destination at topology
-	// node d, or -1 for no route. backup[d] is the alternate egress used
-	// after a loop report, or -1 for "drop on loop". Each table is nil
+	// node d, or noPort for no route. backup[d] is the alternate egress
+	// used after a loop report, or noPort for "drop on loop". An entry
+	// is one byte, so a table costs one byte per node (NewNetwork caps
+	// switches at maxPorts ports). Each table is nil
 	// until its first install, so an unrouted switch costs nothing.
-	fib    []int32
-	backup []int32
+	fib    []uint8
+	backup []uint8
 	// assign resolves a packet's destination identifier to the node
 	// index the tables are keyed by; every switch of a network shares
 	// it.
 	assign *topology.Assignment
-	// neighbors[p] is the node index reachable through port p.
-	neighbors []int
-	// portUp[p] mirrors the physical state of the link behind port p.
-	// It is written only through Network.SetLink while traffic is
-	// quiesced (the fault-injection contract), so the hot path reads it
-	// without synchronisation.
-	portUp []bool
+	// ports[p] is everything a forwarding hop reads about port p, in
+	// one place.
+	ports []portInfo
 
 	// unroller is the shared detector (immutable, safe to share across
-	// switches); phaseLUT mirrors the hardware's lookup-table register.
+	// switches); it holds the phase lookup table the hardware keeps in
+	// a register. ttlHops caches its Config.TTLHopCount.
 	unroller *core.Unroller
-	phaseLUT []bool
+	ttlHops  bool
 	// fresh is the network's encoded header of a packet that has visited
 	// no switch yet (shared, read-only); a deflection restarts detection
 	// by copying it into the packet.
@@ -268,42 +268,63 @@ func (s *Switch) Stats() SwitchStats {
 	}
 }
 
-// newSwitch wires a switch for the given node.
+// portInfo is one switch port.
+type portInfo struct {
+	// peer is the node index reachable through the port.
+	peer int32
+	// link is the network's index of the link behind the port.
+	link int32
+	// up mirrors the physical state of that link. It is written only
+	// through Network.SetLink while traffic is quiesced (the
+	// fault-injection contract), so the hot path reads it without
+	// synchronisation.
+	up bool
+}
+
+// newSwitch wires a switch for the given node; the network fills in each
+// port's link index.
 func newSwitch(node int, neighbors []int, assign *topology.Assignment, u *core.Unroller, states *statePool, fresh []byte) *Switch {
-	up := make([]bool, len(neighbors))
-	for i := range up {
-		up[i] = true
+	ports := make([]portInfo, len(neighbors))
+	for p, v := range neighbors {
+		ports[p] = portInfo{peer: int32(v), up: true}
 	}
 	return &Switch{
 		ID:         assign.ID(node),
 		Node:       node,
 		LoopPolicy: ActionReroute, // deflect when a backup exists, else drop
 		assign:     assign,
-		neighbors:  neighbors,
-		portUp:     up,
+		ports:      ports,
 		unroller:   u,
-		phaseLUT:   core.PhaseStartTable(u.Config(), 256),
+		ttlHops:    u.Config().TTLHopCount,
 		fresh:      fresh,
 		states:     states,
 	}
 }
 
-// next returns a table's port for the destination at node dst, or -1
-// when the table has none — also for dst = -1 (an identifier outside
-// the assignment) and for a table never allocated.
+// noPort is a port-table entry without a route. Ports run from 0 to
+// maxPorts−1, so it is never a real port.
+const noPort = 0xFF
+
+// maxPorts is the most ports a switch may have: every port and noPort
+// must fit the one-byte table entry.
+const maxPorts = noPort
+
+// next returns a table's port for the destination at node dst, or
+// noPort when the table has none — also for dst = -1 (an identifier
+// outside the assignment) and for a table never allocated.
 //
 //unroller:hotpath
-func next(table []int32, dst int) int32 {
+func next(table []uint8, dst int) uint8 {
 	if uint(dst) >= uint(len(table)) {
-		return -1
+		return noPort
 	}
 	return table[dst]
 }
 
 // install sets table's entry for dst to port, allocating the table on
 // first use, and returns the table.
-func (s *Switch) install(table []int32, dst detect.SwitchID, port PortID) ([]int32, error) {
-	if int(port) < 0 || int(port) >= len(s.neighbors) {
+func (s *Switch) install(table []uint8, dst detect.SwitchID, port PortID) ([]uint8, error) {
+	if int(port) < 0 || int(port) >= len(s.ports) {
 		return table, fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
 	}
 	node := s.assign.Node(dst)
@@ -311,12 +332,12 @@ func (s *Switch) install(table []int32, dst detect.SwitchID, port PortID) ([]int
 		return table, fmt.Errorf("dataplane: %v: destination %v is not a switch of the network", s.ID, dst)
 	}
 	if table == nil {
-		table = make([]int32, s.assign.Len())
+		table = make([]uint8, s.assign.Len())
 		for i := range table {
-			table[i] = -1
+			table[i] = noPort
 		}
 	}
-	table[node] = int32(port)
+	table[node] = uint8(port)
 	return table, nil
 }
 
@@ -344,11 +365,11 @@ func (s *Switch) ClearBackups() { s.backup = nil }
 // the control plane); subsequent dst-bound packets drop as no-route.
 func (s *Switch) ClearRoute(dst detect.SwitchID) {
 	node := s.assign.Node(dst)
-	if next(s.fib, node) >= 0 {
-		s.fib[node] = -1
+	if next(s.fib, node) != noPort {
+		s.fib[node] = noPort
 	}
-	if next(s.backup, node) >= 0 {
-		s.backup[node] = -1
+	if next(s.backup, node) != noPort {
+		s.backup[node] = noPort
 	}
 }
 
@@ -357,7 +378,7 @@ func (s *Switch) ClearRoute(dst detect.SwitchID) {
 func (s *Switch) Routes() map[detect.SwitchID]PortID {
 	out := make(map[detect.SwitchID]PortID)
 	for node, port := range s.fib {
-		if port >= 0 {
+		if port != noPort {
 			out[s.assign.ID(node)] = PortID(port)
 		}
 	}
@@ -380,7 +401,7 @@ func (s *Switch) Restart() {
 // network has none.
 func (s *Switch) Route(dst detect.SwitchID) (PortID, bool) {
 	port := next(s.fib, s.assign.Node(dst))
-	if port < 0 {
+	if port == noPort {
 		return 0, false
 	}
 	return PortID(port), true
@@ -391,20 +412,20 @@ func (s *Switch) Route(dst detect.SwitchID) (PortID, bool) {
 // topology space, with no identifier lookups.
 func (s *Switch) NextNode(d int) int {
 	port := next(s.fib, d)
-	if port < 0 {
+	if port == noPort {
 		return -1
 	}
-	return s.neighbors[port]
+	return int(s.ports[port].peer)
 }
 
 // PortUp reports whether the link behind port p is up.
-func (s *Switch) PortUp(p PortID) bool { return s.portUp[p] }
+func (s *Switch) PortUp(p PortID) bool { return s.ports[p].up }
 
 // Ports returns the number of ports.
-func (s *Switch) Ports() int { return len(s.neighbors) }
+func (s *Switch) Ports() int { return len(s.ports) }
 
 // Peer returns the node index on the far end of port p.
-func (s *Switch) Peer(p PortID) int { return s.neighbors[p] }
+func (s *Switch) Peer(p PortID) int { return int(s.ports[p].peer) }
 
 // Process runs the ingress pipeline on the packet in place, mirroring the
 // paper's P4 control block: (0) TTL check, (1) parse the Unroller header
@@ -416,18 +437,20 @@ func (s *Switch) Peer(p PortID) int { return s.neighbors[p] }
 //unroller:hotpath
 func (s *Switch) Process(p *Packet) (Decision, error) {
 	st := s.states.get()
-	dec, err := s.process(p, st)
+	dec, err := s.process(p, st, s.assign.Node(p.Dst))
 	s.states.put(st)
 	s.count(dec, err)
 	return dec, err
 }
 
 // process is Process without the counters, decoding into st — the
-// detector state the caller lends for this run. The network's hop loop
-// passes its worker's own state and counts the outcome itself.
+// detector state the caller lends for this run — for a packet whose
+// destination identifier p.Dst the caller has resolved to node dst (-1
+// outside the network). The network's hop loop passes its worker's own
+// state and its journey's destination, and counts the outcome itself.
 //
 //unroller:hotpath
-func (s *Switch) process(p *Packet, st *core.State) (Decision, error) {
+func (s *Switch) process(p *Packet, st *core.State, dst int) (Decision, error) {
 	// Collection-mode packets circulate the loop to record membership;
 	// they never deliver.
 	if p.Flags&FlagCollect != 0 {
@@ -435,7 +458,7 @@ func (s *Switch) process(p *Packet, st *core.State) (Decision, error) {
 			return Decision{Disposition: DropTTL}, nil
 		}
 		p.TTL--
-		return s.processCollect(p)
+		return s.processCollect(p, dst)
 	}
 
 	// Destination check precedes everything: the last hop delivers.
@@ -448,8 +471,6 @@ func (s *Switch) process(p *Packet, st *core.State) (Decision, error) {
 		return Decision{Disposition: DropTTL}, nil
 	}
 	p.TTL--
-
-	dst := s.assign.Node(p.Dst)
 
 	// Unroller control block over the in-band header.
 	if len(p.Telemetry) > 0 {
@@ -481,9 +502,9 @@ func (s *Switch) process(p *Packet, st *core.State) (Decision, error) {
 func (s *Switch) forward(dst int) Decision {
 	port := next(s.fib, dst)
 	switch {
-	case port < 0:
+	case port == noPort:
 		return Decision{Disposition: DropNoRoute}
-	case !s.portUp[port]:
+	case !s.ports[port].up:
 		return Decision{Disposition: DropLink}
 	default:
 		return Decision{Disposition: Forward, Egress: PortID(port)}
@@ -499,7 +520,7 @@ func (s *Switch) forward(dst int) Decision {
 //unroller:allow errctx -- Process wraps every return as "dataplane: <switch>: %w"
 func (s *Switch) decodeTelemetry(p *Packet, st *core.State) error {
 	switch {
-	case !s.unroller.Config().TTLHopCount:
+	case !s.ttlHops:
 		return s.unroller.DecodeHeaderInto(st, p.Telemetry)
 	case p.TTL >= InitialTTL:
 		return fmt.Errorf("TTL %d inconsistent with TTL-derived hop counting (initial %d)", p.TTL, InitialTTL)
@@ -513,7 +534,7 @@ func (s *Switch) decodeTelemetry(p *Packet, st *core.State) error {
 func (s *Switch) reactToLoop(p *Packet, dst int, report *detect.Report) (Decision, error) {
 	switch s.LoopPolicy {
 	case ActionReroute:
-		if bp := next(s.backup, dst); bp >= 0 && s.portUp[bp] {
+		if bp := next(s.backup, dst); bp != noPort && s.ports[bp].up {
 			// Deflect: reset the telemetry so the detector
 			// restarts on the new route.
 			p.Telemetry = append(p.Telemetry[:0], s.fresh...)
@@ -523,7 +544,7 @@ func (s *Switch) reactToLoop(p *Packet, dst int, report *detect.Report) (Decisio
 		// Tag the packet for one recording lap (§3.5); it keeps
 		// following the looping FIB and returns here with the full
 		// membership.
-		if port := next(s.fib, dst); port >= 0 && s.portUp[port] {
+		if port := next(s.fib, dst); port != noPort && s.ports[port].up {
 			rec := collectRecord{Initiator: s.ID}
 			tel, err := rec.marshal()
 			if err != nil {
@@ -540,5 +561,6 @@ func (s *Switch) reactToLoop(p *Packet, dst int, report *detect.Report) (Decisio
 }
 
 // PhaseStartLUT exposes the lookup-table register (useful for inspecting
-// hardware fidelity in tests and the emulator CLI).
-func (s *Switch) PhaseStartLUT() []bool { return s.phaseLUT }
+// hardware fidelity in tests and the emulator CLI). It is rendered from
+// the phase table the switch's header decoder reads.
+func (s *Switch) PhaseStartLUT() []bool { return s.unroller.PhaseStartLUT() }
