@@ -59,8 +59,10 @@
 #                 epoch of a torus churn run (route deltas, link flap,
 #                 restart), report reuse for untouched destinations,
 #                 and a Clear for an unknown destination as a no-op
-#   fuzz smoke    5s of each bitpack fuzz target and of the Unroller
-#                 header decoder and visit-sequence targets, and 10s
+#   fuzz smoke    5s of each bitpack fuzz target, of the Unroller
+#                 header decoder and visit-sequence targets, and of the
+#                 distance-vector engine against its from-scratch
+#                 reference, and 10s
 #                 each of the packet wire-format, collector
 #                 report-frame, journal segment, and static FIB
 #                 verifier targets (`-fuzz
@@ -68,9 +70,11 @@
 #                 match, so each is invoked by exact name)
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
 #                 GOMAXPROCS) and network-send benchmarks, one
-#                 iteration each of journal append and of a snapshot
-#                 rotation over 4 shards x 32768 flows (proof those
-#                 paths stay runnable), plus 2000-iteration collector-ingest (plain and
+#                 iteration each of journal append, of a snapshot
+#                 rotation over 4 shards x 32768 flows and of a
+#                 distance-vector isolate/restore cycle on a 12x12
+#                 torus (proof those paths stay runnable; not logged),
+#                 plus 2000-iteration collector-ingest (plain and
 #                 journaled) and cluster-ingest runs that ARE
 #                 measurements. The traffic-engine, collector-ingest,
 #                 and cluster-ingest lines are appended to the
@@ -136,6 +140,9 @@ echo "==> fuzz smoke (internal/core header decoder and visit sequences, 5s per t
 go test -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzVisitSequence$' -fuzztime 5s ./internal/core
 
+echo "==> fuzz smoke (internal/routing incremental engine vs from-scratch reference, 5s)"
+go test -run '^$' -fuzz '^FuzzStepReference$' -fuzztime 5s ./internal/routing
+
 echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
 go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane
 
@@ -158,6 +165,7 @@ go test -run '^$' -bench 'TrafficEngine|NetworkSend' -benchtime 100ms . | tee "$
 # below would compare garbage against garbage.
 go test -run '^$' -bench 'CollectorIngest|ClusterIngest' -benchtime 2000x . | tee -a "$bench_out"
 go test -run '^$' -bench 'JournalAppend|SnapshotRotate' -benchtime 1x ./internal/collectorsvc
+go test -run '^$' -bench 'ConvergeChurn' -benchtime 1x ./internal/routing
 # benchlog exits 1 if the run lacks a gated entry or its Mpps fell
 # >20% below the last checked-in BENCH_collector.json entry.
 go run ./cmd/unroller-benchlog -gate 'BenchmarkCollectorIngest=20,BenchmarkClusterIngest=20' -o BENCH_collector.json "$bench_out"

@@ -19,15 +19,14 @@ import (
 // dst, -1 where the router has no route (or is the destination itself).
 // The slice is freshly allocated; it stays valid across later Steps.
 func (p *Protocol) NextHops(dst int) []int {
-	n := p.g.N()
-	out := make([]int, n)
-	for u := 0; u < n; u++ {
-		next, ok := p.NextHop(u, dst)
-		if !ok {
+	row := dst * p.n
+	metric, next := p.metric[row:row+p.n], p.next[row:row+p.n]
+	out := make([]int, p.n)
+	for u := range out {
+		out[u] = int(next[u])
+		if int(metric[u]) >= p.Infinity {
 			out[u] = -1
-			continue
 		}
-		out[u] = next
 	}
 	return out
 }

@@ -65,24 +65,29 @@ func TestNextHopsSnapshot(t *testing.T) {
 }
 
 // TestDeltaMatchesInstall: applying the per-round deltas to one network
-// reproduces exactly the FIBs InstallInto writes on a fresh one — the
-// incremental and the bulk paths agree at every convergence round.
+// reproduces exactly the FIBs InstallInto writes, both on a fresh
+// network and re-installed over the previous round's FIBs on a reused
+// one — the incremental and the bulk paths agree at every convergence
+// round, withdrawn routes included.
 func TestDeltaMatchesInstall(t *testing.T) {
 	netDelta, g := ringNet(t)
+	netReused := netOn(t, g)
 	p, err := New(g, DefaultInfinity, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Converge(64)
 	const dst = 0
-	if err := p.InstallInto(netDelta, dst); err != nil {
-		t.Fatal(err)
+	for _, net := range []*dataplane.Network{netDelta, netReused} {
+		if err := p.InstallInto(net, dst); err != nil {
+			t.Fatal(err)
+		}
 	}
 	prev := p.NextHops(dst)
 	if err := p.FailLink(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	sawUpdates := false
+	sawUpdates, sawClear := false, false
 	for round := 0; round < 32; round++ {
 		cur := p.NextHops(dst)
 		delta, err := Delta(netDelta, dst, prev, cur)
@@ -93,49 +98,33 @@ func TestDeltaMatchesInstall(t *testing.T) {
 			sawUpdates = true
 		}
 		for _, ru := range delta {
+			sawClear = sawClear || ru.Clear
 			if err := netDelta.ApplyFault(dataplane.FaultEvent{Kind: dataplane.FaultRoutes, Routes: []dataplane.RouteUpdate{ru}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// A fresh network programmed in bulk from the same tables must
-		// hold identical FIBs.
 		netBulk := netOn(t, g)
-		if err := p.InstallInto(netBulk, dst); err != nil {
-			t.Fatal(err)
+		for _, net := range []*dataplane.Network{netBulk, netReused} {
+			if err := p.InstallInto(net, dst); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for u := 0; u < g.N(); u++ {
-			if u == dst {
-				continue
-			}
 			got := netDelta.Switch(u).Routes()
-			want := netBulk.Switch(u).Routes()
-			// InstallInto leaves stale entries when a route vanishes;
-			// Delta emits Clear instead, so compare only the
-			// destination's entry, which is the one under churn.
-			dstID := netDelta.Assign.ID(dst)
-			gotPort, gotOK := got[dstID]
-			wantNext, wantOK := p.NextHop(u, dst)
-			if gotOK != wantOK {
-				t.Fatalf("round %d node %d: delta route present=%v, protocol route present=%v", round, u, gotOK, wantOK)
+			if want := netBulk.Switch(u).Routes(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d node %d: delta FIB %v, fresh install %v", round, u, got, want)
 			}
-			if wantOK {
-				wantPort, err := netBulk.PortTo(u, wantNext)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotPort != wantPort {
-					t.Fatalf("round %d node %d: delta port %d, want %d", round, u, gotPort, wantPort)
-				}
+			if want := netReused.Switch(u).Routes(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d node %d: delta FIB %v, reinstall %v", round, u, got, want)
 			}
-			_ = want
 		}
 		prev = cur
 		if !p.Step() {
 			break
 		}
 	}
-	if !sawUpdates {
-		t.Fatal("convergence produced no deltas; test is vacuous")
+	if !sawUpdates || !sawClear {
+		t.Fatalf("convergence produced updates=%v clears=%v; test is vacuous", sawUpdates, sawClear)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 // InstallInto programs net's FIBs for destination dst from the
 // protocol's current tables — including mid-convergence states, which is
 // how transient routing loops reach the data plane. Routers without a
-// route to dst get no FIB entry (their packets drop as no-route, the
-// honest outcome during an outage).
+// route to dst get no FIB entry: one already installed is withdrawn, as
+// a Delta Clear would (their packets drop as no-route, the honest
+// outcome during an outage).
 func (p *Protocol) InstallInto(net *dataplane.Network, dst int) error {
 	if net.Graph != p.g {
 		return fmt.Errorf("routing: network is built on a different graph")
@@ -22,25 +23,16 @@ func (p *Protocol) InstallInto(net *dataplane.Network, dst int) error {
 		}
 		next, ok := p.NextHop(u, dst)
 		if !ok {
+			net.Switch(u).ClearRoute(dstID)
 			continue
 		}
-		port, err := portTo(net, u, next)
+		port, err := net.PortTo(u, next)
 		if err != nil {
-			return err
+			return fmt.Errorf("routing: install for node %d: %w", u, err)
 		}
 		if err := net.Switch(u).SetRoute(dstID, port); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// portTo resolves u's port leading to neighbour v on net's graph.
-func portTo(net *dataplane.Network, u, v int) (dataplane.PortID, error) {
-	for i, w := range net.Graph.Neighbors(u) {
-		if w == v {
-			return dataplane.PortID(i), nil
-		}
-	}
-	return 0, fmt.Errorf("routing: node %d has no port to %d", u, v)
 }

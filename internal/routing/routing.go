@@ -12,6 +12,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/unroller/unroller/internal/topology"
 )
@@ -19,143 +20,269 @@ import (
 // DefaultInfinity is the classic RIP metric cap.
 const DefaultInfinity = 16
 
-// entry is one routing-table row: the believed distance to a destination
-// and the neighbour to send through.
-type entry struct {
-	metric  int
-	nextHop int // -1 when unreachable or self
-}
-
 // Protocol is the state of every router in the network. It is not safe
 // for concurrent use.
+//
+// The tables are dense and destination-major: entry (u, d), router u's
+// route towards d, lives at index d*n+u of metric and next, so one
+// destination's routes are one contiguous row. Step is a synchronous
+// Bellman-Ford round paid per changed entry: it recomputes only the
+// entries whose inputs changed since their last computation.
 type Protocol struct {
 	g *topology.Graph
-	// Infinity is the unreachability metric (≥ 2).
+	// Infinity is the unreachability metric (≥ 2). The tables hold
+	// int32 metrics: Step panics on a value outside the int32 range.
 	Infinity int
 	// SplitHorizon suppresses advertising a route back to the
 	// neighbour it was learned from — the standard mitigation whose
 	// effect on transient loops the tests quantify.
 	SplitHorizon bool
 
-	alive  map[[2]int]bool // live links, normalised u<v
-	tables [][]entry       // tables[u][dst]
+	n int
+	// adj[u] is Graph.Neighbors(u) as of New; alive[u][i] reports
+	// whether the link to adj[u][i] is up.
+	adj   [][]int
+	alive [][]bool
+	// metric[d*n+u] is u's believed distance to d; next[d*n+u] the
+	// neighbour it sends through, -1 when unreachable or u == d.
+	metric []int32
+	next   []int32
+
+	// dirty lists the entries the next Step recomputes, without
+	// repeats; queued[i] reports whether entry i is on it. The first
+	// Step after New (full) and any Step that finds Infinity or
+	// SplitHorizon changed since the previous one (stepInf, stepSplit)
+	// recompute every entry instead.
+	dirty     []int32
+	queued    []bool
+	full      bool
+	stepInf   int
+	stepSplit bool
+	// work and staged are Step's scratch, reused across rounds.
+	work   []int32
+	staged []stagedEntry
 	rounds int
+}
+
+// stagedEntry is a recomputed entry that differs from the table, held
+// until the round's scan ends.
+type stagedEntry struct {
+	i            int32
+	metric, next int32
 }
 
 // New initialises the protocol over g with every link up and every
 // router knowing only itself.
 func New(g *topology.Graph, infinity int, splitHorizon bool) (*Protocol, error) {
-	if infinity < 2 {
-		return nil, fmt.Errorf("routing: infinity must be ≥ 2, got %d", infinity)
+	if infinity < 2 || infinity > math.MaxInt32 {
+		return nil, fmt.Errorf("routing: infinity must be in [2, %d], got %d", math.MaxInt32, infinity)
+	}
+	n := g.N()
+	if int64(n)*int64(n) > math.MaxInt32 {
+		return nil, fmt.Errorf("routing: %d nodes overflow the int32-indexed tables", n)
 	}
 	p := &Protocol{
 		g:            g,
 		Infinity:     infinity,
 		SplitHorizon: splitHorizon,
-		alive:        make(map[[2]int]bool, g.M()),
-		tables:       make([][]entry, g.N()),
+		n:            n,
+		adj:          make([][]int, n),
+		alive:        make([][]bool, n),
+		metric:       make([]int32, n*n),
+		next:         make([]int32, n*n),
+		queued:       make([]bool, n*n),
+		full:         true,
 	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			p.alive[linkKey(u, v)] = true
+	up := make([]bool, 2*g.M())
+	for u := 0; u < n; u++ {
+		p.adj[u] = g.Neighbors(u)
+		deg := len(p.adj[u])
+		p.alive[u], up = up[:deg:deg], up[deg:]
+		for i := range p.alive[u] {
+			p.alive[u][i] = true
 		}
-		p.tables[u] = make([]entry, g.N())
-		for d := range p.tables[u] {
-			p.tables[u][d] = entry{metric: infinity, nextHop: -1}
-		}
-		p.tables[u][u] = entry{metric: 0, nextHop: -1}
+	}
+	for i := range p.metric {
+		p.metric[i] = int32(infinity)
+		p.next[i] = -1
+	}
+	for u := 0; u < n; u++ {
+		p.metric[u*n+u] = 0
 	}
 	return p, nil
 }
 
-func linkKey(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
+// port returns the index of v in u's adjacency, or -1 when {u, v} is not
+// a link (including out-of-range nodes).
+func (p *Protocol) port(u, v int) int {
+	if u < 0 || u >= p.n {
+		return -1
 	}
-	return [2]int{u, v}
+	for i, w := range p.adj[u] {
+		if w == v {
+			return i
+		}
+	}
+	return -1
 }
 
-// LinkUp reports whether the link {u, v} is alive.
-func (p *Protocol) LinkUp(u, v int) bool { return p.alive[linkKey(u, v)] }
+// LinkUp reports whether the link {u, v} is alive; false for a non-edge
+// or an out-of-range node.
+func (p *Protocol) LinkUp(u, v int) bool {
+	i := p.port(u, v)
+	return i >= 0 && p.alive[u][i]
+}
+
+// inf32 returns Infinity as the tables store it.
+func (p *Protocol) inf32() (int32, error) {
+	if p.Infinity < math.MinInt32 || p.Infinity > math.MaxInt32 {
+		return 0, fmt.Errorf("routing: Infinity %d does not fit the int32 tables", p.Infinity)
+	}
+	return int32(p.Infinity), nil
+}
+
+// mark queues entry i for recomputation by the next Step.
+func (p *Protocol) mark(i int) {
+	if !p.queued[i] {
+		p.queued[i] = true
+		p.dirty = append(p.dirty, int32(i))
+	}
+}
+
+// markNode queues every entry of router u: one of its links changed
+// liveness.
+func (p *Protocol) markNode(u int) {
+	for d := 0; d < p.n; d++ {
+		p.mark(d*p.n + u)
+	}
+}
+
+// changed queues the entries that read entry (u, d), which just
+// changed: d's entry at every neighbour u advertises to over a live
+// link.
+func (p *Protocol) changed(u, d int) {
+	row, alive := d*p.n, p.alive[u]
+	for i, w := range p.adj[u] {
+		if alive[i] {
+			p.mark(row + w)
+		}
+	}
+}
 
 // FailLink takes {u, v} down. Both endpoints immediately poison routes
 // through the dead link (the local interface-down event); the rest of
 // the network only learns through subsequent rounds.
 func (p *Protocol) FailLink(u, v int) error {
-	if !p.g.HasEdge(u, v) {
+	iu := p.port(u, v)
+	if iu < 0 {
 		return fmt.Errorf("routing: no link (%d,%d)", u, v)
 	}
-	if !p.alive[linkKey(u, v)] {
+	if !p.alive[u][iu] {
 		return fmt.Errorf("routing: link (%d,%d) already down", u, v)
 	}
-	p.alive[linkKey(u, v)] = false
-	for d := 0; d < p.g.N(); d++ {
-		if p.tables[u][d].nextHop == v {
-			p.tables[u][d] = entry{metric: p.Infinity, nextHop: -1}
-		}
-		if p.tables[v][d].nextHop == u {
-			p.tables[v][d] = entry{metric: p.Infinity, nextHop: -1}
-		}
+	inf, err := p.inf32()
+	if err != nil {
+		return err
 	}
+	p.alive[u][iu], p.alive[v][p.port(v, u)] = false, false
+	p.poison(u, v, inf)
+	p.poison(v, u, inf)
 	return nil
 }
 
-// RestoreLink brings {u, v} back up.
+// poison is a's interface-down event for its link to b: every route of a
+// through b becomes unreachable, and every entry of a is queued.
+func (p *Protocol) poison(a, b int, inf int32) {
+	for d := 0; d < p.n; d++ {
+		if i := d*p.n + a; p.next[i] == int32(b) {
+			p.metric[i], p.next[i] = inf, -1
+			p.changed(a, d)
+		}
+	}
+	p.markNode(a)
+}
+
+// RestoreLink brings {u, v} back up. Restoring a live link is a no-op.
 func (p *Protocol) RestoreLink(u, v int) error {
-	if !p.g.HasEdge(u, v) {
+	iu := p.port(u, v)
+	if iu < 0 {
 		return fmt.Errorf("routing: no link (%d,%d)", u, v)
 	}
-	p.alive[linkKey(u, v)] = true
+	if p.alive[u][iu] {
+		return nil
+	}
+	p.alive[u][iu], p.alive[v][p.port(v, u)] = true, true
+	p.markNode(u)
+	p.markNode(v)
 	return nil
 }
 
 // Step runs one synchronous exchange round: every router advertises its
 // current vector to its live neighbours, then every router recomputes
 // from what it heard. It returns whether any table changed.
+//
+// Only dirty entries are recomputed: an entry whose inputs (its
+// neighbours' entries for the same destination, its router's link
+// liveness) are as they were at its last computation would compute the
+// same value again. The new values are staged and applied after the
+// scan, so every read sees the tables as they stood at the start of the
+// round, and each applied change queues its readers for the next round.
 func (p *Protocol) Step() bool {
-	n := p.g.N()
-	// Snapshot the vectors each neighbour advertises this round.
-	next := make([][]entry, n)
-	changed := false
-	for u := 0; u < n; u++ {
-		next[u] = make([]entry, n)
-		for d := 0; d < n; d++ {
-			if u == d {
-				next[u][d] = entry{metric: 0, nextHop: -1}
+	inf, err := p.inf32()
+	if err != nil {
+		panic(err)
+	}
+	p.staged = p.staged[:0]
+	if p.full || p.Infinity != p.stepInf || p.SplitHorizon != p.stepSplit {
+		p.full, p.stepInf, p.stepSplit = false, p.Infinity, p.SplitHorizon
+		for _, i := range p.dirty {
+			p.queued[i] = false
+		}
+		p.dirty = p.dirty[:0]
+		for i := range p.metric {
+			p.recompute(i, inf)
+		}
+	} else {
+		p.work, p.dirty = p.dirty, p.work[:0]
+		for _, i := range p.work {
+			p.queued[i] = false
+			p.recompute(int(i), inf)
+		}
+	}
+	for _, s := range p.staged {
+		p.metric[s.i], p.next[s.i] = s.metric, s.next
+		p.changed(int(s.i)%p.n, int(s.i)/p.n)
+	}
+	p.rounds++
+	return len(p.staged) > 0
+}
+
+// recompute runs Bellman-Ford for entry i = d*n+u from the current
+// tables and stages the result if it differs from the entry.
+func (p *Protocol) recompute(i int, inf int32) {
+	d, u := i/p.n, i%p.n
+	metric, next := inf, int32(-1)
+	if u == d {
+		metric = 0
+	} else {
+		row := d * p.n
+		alive := p.alive[u]
+		for k, v := range p.adj[u] {
+			if !alive[k] {
 				continue
 			}
-			best := entry{metric: p.Infinity, nextHop: -1}
-			for _, v := range p.g.Neighbors(u) {
-				if !p.alive[linkKey(u, v)] {
-					continue
-				}
-				adv := p.advertised(v, d, u)
-				if adv >= p.Infinity {
-					continue
-				}
-				if m := adv + 1; m < best.metric {
-					best = entry{metric: m, nextHop: v}
-				}
+			adv := p.metric[row+v]
+			if adv >= inf || (p.SplitHorizon && p.next[row+v] == int32(u)) {
+				continue
 			}
-			next[u][d] = best
-			if best != p.tables[u][d] {
-				changed = true
+			if adv+1 < metric {
+				metric, next = adv+1, int32(v)
 			}
 		}
 	}
-	p.tables = next
-	p.rounds++
-	return changed
-}
-
-// advertised returns the metric v tells u about destination d, applying
-// split horizon when enabled.
-func (p *Protocol) advertised(v, d, u int) int {
-	e := p.tables[v][d]
-	if p.SplitHorizon && e.nextHop == u {
-		return p.Infinity
+	if metric != p.metric[i] || next != p.next[i] {
+		p.staged = append(p.staged, stagedEntry{i: int32(i), metric: metric, next: next})
 	}
-	return e.metric
 }
 
 // Converge steps until stable or maxRounds, returning the number of
@@ -175,16 +302,16 @@ func (p *Protocol) Rounds() int { return p.rounds }
 // NextHop returns u's current next hop towards dst, or ok=false when u
 // has no route (or is the destination).
 func (p *Protocol) NextHop(u, dst int) (int, bool) {
-	e := p.tables[u][dst]
-	if e.nextHop < 0 || e.metric >= p.Infinity {
+	i := dst*p.n + u
+	if p.next[i] < 0 || int(p.metric[i]) >= p.Infinity {
 		return -1, false
 	}
-	return e.nextHop, true
+	return int(p.next[i]), true
 }
 
 // Metric returns u's believed distance to dst (Infinity when
 // unreachable).
-func (p *Protocol) Metric(u, dst int) int { return p.tables[u][dst].metric }
+func (p *Protocol) Metric(u, dst int) int { return int(p.metric[dst*p.n+u]) }
 
 // ForwardingLoops returns every forwarding loop for dst in the current
 // tables: cycles in the functional graph u → NextHop(u, dst). Each loop

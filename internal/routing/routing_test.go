@@ -234,3 +234,119 @@ func TestInstallIntoWrongGraph(t *testing.T) {
 		t.Fatal("cross-graph install accepted")
 	}
 }
+
+// TestLinkAPIParity pins the link API's edge cases: failing a down link
+// errors, restoring a live link is a no-op that queues no work, and
+// LinkUp answers false for non-edges and out-of-range nodes.
+func TestLinkAPIParity(t *testing.T) {
+	g, _ := topology.Ring(6)
+	p, _ := New(g, DefaultInfinity, false)
+	p.Converge(100)
+	if err := p.RestoreLink(2, 3); err != nil {
+		t.Fatalf("restoring a live link: %v", err)
+	}
+	if len(p.dirty) != 0 {
+		t.Fatalf("restoring a live link queued %d entries", len(p.dirty))
+	}
+	if p.Step() {
+		t.Fatal("a no-op restore changed a table")
+	}
+	if err := p.FailLink(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FailLink(3, 2); err == nil {
+		t.Error("failing a down link accepted")
+	}
+	for _, uv := range [][2]int{{0, 2}, {0, 0}, {-1, 0}, {0, -1}, {6, 0}, {0, 6}, {1 << 20, 1}} {
+		if p.LinkUp(uv[0], uv[1]) {
+			t.Errorf("LinkUp(%d,%d) = true for a non-link", uv[0], uv[1])
+		}
+	}
+	if p.LinkUp(2, 3) || p.LinkUp(3, 2) || !p.LinkUp(1, 2) {
+		t.Error("LinkUp disagrees with the link states")
+	}
+}
+
+// TestConvergeRounds pins the round counts of every convergence the
+// tests above run, and checks each against the from-scratch reference.
+func TestConvergeRounds(t *testing.T) {
+	ring8, _ := topology.Ring(8)
+	torus, _ := topology.Torus(4, 4)
+	fat, _ := topology.FatTree(4)
+	chain, _ := topology.Chain(6)
+	cases := []struct {
+		g          *topology.Graph
+		split      bool
+		fail       [2]int // link failed after the initial convergence
+		init, heal int
+	}{
+		{ring8, false, [2]int{0, 7}, 4, 5},
+		{ring8, true, [2]int{0, 7}, 4, 6},
+		{torus, false, [2]int{0, 1}, 4, 2},
+		{fat, false, [2]int{0, fat.Neighbors(0)[0]}, 4, 3},
+		{chain, false, [2]int{4, 5}, 5, 14},
+		{chain, true, [2]int{4, 5}, 5, 4},
+	}
+	for _, c := range cases {
+		p, _ := New(c.g, DefaultInfinity, c.split)
+		ref := newRef(c.g, DefaultInfinity, c.split)
+		got, ok := p.Converge(100)
+		want, _ := ref.converge(100)
+		if !ok || got != want || got != c.init {
+			t.Fatalf("%s split=%v: initial convergence in %d rounds (ok=%v), reference %d, pinned %d", c.g.Name, c.split, got, ok, want, c.init)
+		}
+		if err := p.FailLink(c.fail[0], c.fail[1]); err != nil {
+			t.Fatal(err)
+		}
+		ref.failLink(c.fail[0], c.fail[1])
+		got, ok = p.Converge(10 * DefaultInfinity)
+		want, _ = ref.converge(10 * DefaultInfinity)
+		if !ok || got != want || got != c.heal {
+			t.Fatalf("%s split=%v: reconvergence in %d rounds (ok=%v), reference %d, pinned %d", c.g.Name, c.split, got, ok, want, c.heal)
+		}
+		if p.Rounds() != c.init+got+2 {
+			t.Fatalf("%s: Rounds() = %d, want %d", c.g.Name, p.Rounds(), c.init+got+2)
+		}
+	}
+}
+
+// BenchmarkConvergeChurn is one cycle of the churn workload's set-up:
+// on Torus(12,12) without split horizon, isolate a node, converge
+// (counting to infinity towards it), restore it and converge again.
+func BenchmarkConvergeChurn(b *testing.B) {
+	g, err := topology.Torus(12, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := New(g, DefaultInfinity, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := p.Converge(64); !ok {
+		b.Fatal("no initial convergence")
+	}
+	converge := func() {
+		if _, ok := p.Converge(64); !ok {
+			b.Fatal("no convergence in 64 rounds")
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := p.Rounds()
+	for i := 0; i < b.N; i++ {
+		x := i * 37 % g.N()
+		for _, v := range g.Neighbors(x) {
+			if err := p.FailLink(x, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		converge()
+		for _, v := range g.Neighbors(x) {
+			if err := p.RestoreLink(x, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+		converge()
+	}
+	b.ReportMetric(float64(p.Rounds()-start)/float64(b.N), "rounds/op")
+}
