@@ -21,7 +21,8 @@
 #   make bench   full benchmark run with allocation stats
 #   make ci      the full gate (ci.sh): build, a test file in every main
 #                package, vet, unroller-vet, race tests, oracle gate,
-#                fuzz smoke, bench smoke
+#                fuzz smoke, perfbench (its own module: vet, tests and a
+#                1 s run of each workload), bench smoke
 
 GO ?= go
 

@@ -68,6 +68,12 @@
 #                 verifier targets (`-fuzz
 #                 Fuzz` would refuse to run because several targets
 #                 match, so each is invoked by exact name)
+#   perfbench     the benchmark harness is a module of its own, so the
+#                 root `go build ./...` never compiles it: vet and test
+#                 it in place, then run each workload (fwd-fattree32,
+#                 churn-microloop, ingest-journal) for 1 s through
+#                 perfbench/run.sh; its last line must report
+#                 "correct":true
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
 #                 GOMAXPROCS) and network-send benchmarks, one
 #                 iteration each of journal append, of a snapshot
@@ -154,6 +160,20 @@ go test -run '^$' -fuzz '^FuzzJournalSegment$' -fuzztime 10s ./internal/collecto
 
 echo "==> fuzz smoke (internal/verify static FIB classifier vs naive reference, 10s)"
 go test -run '^$' -fuzz '^FuzzVerifyFIB$' -fuzztime 10s ./internal/verify
+
+echo "==> perfbench (own module: vet, tests, 1 s run of each workload)"
+(cd perfbench && go vet ./... && go test ./...)
+for w in fwd-fattree32 churn-microloop ingest-journal; do
+	last="$(bash perfbench/run.sh --workload "$w" --seconds 1 --trace 0 | tail -n 1)"
+	echo "$w: $last"
+	case $last in
+	*'"correct":true'*) ;;
+	*)
+		echo "perfbench $w: the run is not correct: $last" >&2
+		exit 1
+		;;
+	esac
+done
 
 echo "==> bench smoke (traffic engine 100ms + collector ingest 2000x, logged + gated)"
 bench_out="$vettool_dir/bench.out"

@@ -126,8 +126,8 @@ type Client struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	unsent      []clientItem // bounded ring semantics via head index
-	inflight    []clientItem // sent, awaiting ack; FIFO by seq
+	unsent      itemRing // not yet written; at most cfg.Buffer items
+	inflight    itemRing // sent, awaiting ack; FIFO by seq; at most cfg.Window items
 	nextSeq     uint64
 	stats       ClientStats
 	rng         *xrand.Rand
@@ -227,11 +227,11 @@ func (c *Client) enqueue(it clientItem) {
 		return
 	}
 	c.stats.Enqueued++
-	if len(c.unsent) >= c.cfg.Buffer {
-		c.unsent = c.unsent[1:]
+	if c.unsent.len() >= c.cfg.Buffer {
+		c.unsent.pop()
 		c.stats.Dropped++
 	}
-	c.unsent = append(c.unsent, it)
+	c.unsent.push(it)
 	c.mu.Unlock()
 	c.cond.Signal()
 }
@@ -247,7 +247,7 @@ func (c *Client) Stats() ClientStats {
 func (c *Client) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.unsent) + len(c.inflight)
+	return c.unsent.len() + c.inflight.len()
 }
 
 // Close drains the sender: it keeps (re)connecting and sending until
@@ -274,8 +274,8 @@ func (c *Client) Close() error {
 	case <-time.After(c.cfg.FlushTimeout):
 		c.mu.Lock()
 		c.aborted = true
-		c.stats.Dropped += uint64(len(c.unsent) + len(c.inflight))
-		c.unsent, c.inflight = nil, nil
+		c.stats.Dropped += uint64(c.unsent.len() + c.inflight.len())
+		c.unsent, c.inflight = itemRing{}, itemRing{}
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		c.poke()
@@ -329,7 +329,7 @@ func (c *Client) poke() {
 func (c *Client) finished() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.aborted || (c.closing && len(c.unsent) == 0 && len(c.inflight) == 0)
+	return c.aborted || (c.closing && c.unsent.len() == 0 && c.inflight.len() == 0)
 }
 
 // run owns the connection lifecycle: dial with backoff, stream until
@@ -469,7 +469,7 @@ func (c *Client) stream(conn net.Conn) {
 	// encoded into one buffer and written in one deadline-armed call —
 	// the same coalescing the batch loop below uses.
 	c.mu.Lock()
-	resend := append([]clientItem(nil), c.inflight...)
+	resend := c.inflight.appendTo(nil)
 	c.stats.Retransmits += uint64(len(resend))
 	c.mu.Unlock()
 	var err error
@@ -499,7 +499,7 @@ func (c *Client) stream(conn net.Conn) {
 				c.mu.Unlock()
 				return
 			}
-			if c.cutover && len(c.inflight) == 0 {
+			if c.cutover && c.inflight.len() == 0 {
 				// Drain cutover complete: every sent frame is acked at
 				// this owner, so the stream can move with zero overlap.
 				// The run loop's top adopts the pending address.
@@ -511,10 +511,10 @@ func (c *Client) stream(conn net.Conn) {
 				heartbeat = true
 				break
 			}
-			if len(c.unsent) > 0 && len(c.inflight) < c.cfg.Window && !c.cutover {
+			if c.unsent.len() > 0 && c.inflight.len() < c.cfg.Window && !c.cutover {
 				break
 			}
-			if c.closing && len(c.unsent) == 0 && len(c.inflight) == 0 {
+			if c.closing && c.unsent.len() == 0 && c.inflight.len() == 0 {
 				c.mu.Unlock()
 				conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
 				if err := bw.Flush(); err != nil {
@@ -536,12 +536,11 @@ func (c *Client) stream(conn net.Conn) {
 			c.cond.Wait()
 		}
 		if !heartbeat {
-			for len(c.unsent) > 0 && len(batch) < c.cfg.Batch && len(c.inflight) < c.cfg.Window {
-				it := c.unsent[0]
-				c.unsent = c.unsent[1:]
+			for c.unsent.len() > 0 && len(batch) < c.cfg.Batch && c.inflight.len() < c.cfg.Window {
+				it := c.unsent.pop()
 				c.nextSeq++
 				it.seq = c.nextSeq
-				c.inflight = append(c.inflight, it)
+				c.inflight.push(it)
 				batch = append(batch, it)
 			}
 		}
@@ -593,17 +592,64 @@ func appendItem(dst []byte, it clientItem) ([]byte, error) {
 func (c *Client) ack(seq uint64) {
 	c.mu.Lock()
 	n := 0
-	for n < len(c.inflight) && c.inflight[n].seq <= seq {
+	for c.inflight.len() > 0 && c.inflight.front().seq <= seq {
+		c.inflight.pop()
 		n++
 	}
-	if n > 0 {
-		c.inflight = c.inflight[n:]
-		c.stats.Acked += uint64(n)
-	}
+	c.stats.Acked += uint64(n)
 	c.mu.Unlock()
 	if n > 0 {
 		c.cond.Broadcast()
 	}
+}
+
+// itemRing is a FIFO of client items on a power-of-two ring that grows
+// by doubling when full. Nothing is allocated until the first push, and
+// callers bound the length (Buffer for unsent, Window for in flight),
+// so a ring never outgrows the smallest power of two at or above its
+// bound. Popping zeroes the slot, releasing the event's Members slice.
+type itemRing struct {
+	buf  []clientItem
+	head int
+	n    int
+}
+
+// itemRingMin is a ring's first allocation, in items.
+const itemRingMin = 16
+
+func (r *itemRing) len() int { return r.n }
+
+// push appends it at the back, growing the ring if it is full.
+func (r *itemRing) push(it clientItem) {
+	if r.n == len(r.buf) {
+		buf := make([]clientItem, max(2*len(r.buf), itemRingMin))
+		r.appendTo(buf[:0])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = it
+	r.n++
+}
+
+// front returns the oldest item. The ring must not be empty.
+func (r *itemRing) front() *clientItem { return &r.buf[r.head] }
+
+// pop removes and returns the oldest item. The ring must not be empty.
+func (r *itemRing) pop() clientItem {
+	it := r.buf[r.head]
+	r.buf[r.head] = clientItem{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return it
+}
+
+// appendTo appends the items, oldest first, to dst.
+func (r *itemRing) appendTo(dst []clientItem) []clientItem {
+	end := r.head + r.n
+	if end <= len(r.buf) {
+		return append(dst, r.buf[r.head:end]...)
+	}
+	dst = append(dst, r.buf[r.head:]...)
+	return append(dst, r.buf[:end-len(r.buf)]...)
 }
 
 // backoffDelay computes the attempt-th reconnect delay: capped

@@ -3,6 +3,7 @@ package collectorsvc
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -149,5 +150,64 @@ func TestClientReconnectsWithBackoff(t *testing.T) {
 	srv.Shutdown()
 	if got := srv.Stats().Ingested; got != n {
 		t.Errorf("server ingested %d, want %d", got, n)
+	}
+}
+
+// TestItemRingMatchesSlice drives the client's queue ring and a plain
+// slice through the same seeded push / pop / drop-oldest / snapshot
+// sequences, under the bounds the client keeps (Buffer drops the oldest
+// before a push at the bound). Contents and length must agree after
+// every op, the ring must never outgrow the smallest power of two at or
+// above its bound, and every slot outside the live range must be zero,
+// so a popped event's Members slice is released.
+func TestItemRingMatchesSlice(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		r := xrand.New(seed)
+		bound := 1 + r.Intn(100)
+		capLimit := 1
+		for capLimit < max(bound, itemRingMin) {
+			capLimit *= 2
+		}
+		var ring itemRing
+		var model []clientItem
+		for op := 0; op < 5000; op++ {
+			switch k := r.Intn(10); {
+			case k < 5: // enqueue, dropping the oldest at the bound
+				it := clientItem{ev: dataplane.LoopEvent{Flow: uint32(op), Members: []detect.SwitchID{detect.SwitchID(op)}}, hop: op, seq: uint64(op)}
+				if ring.len() >= bound {
+					if got := ring.pop(); !reflect.DeepEqual(got, model[0]) {
+						t.Fatalf("seed %d op %d: dropped %+v, model %+v", seed, op, got, model[0])
+					}
+					model = model[1:]
+				}
+				ring.push(it)
+				model = append(model, it)
+			case k < 8: // release a prefix, as an ack does
+				for n := r.Intn(8); n > 0 && ring.len() > 0; n-- {
+					if ring.front().seq != model[0].seq {
+						t.Fatalf("seed %d op %d: front seq %d, model %d", seed, op, ring.front().seq, model[0].seq)
+					}
+					if got := ring.pop(); !reflect.DeepEqual(got, model[0]) {
+						t.Fatalf("seed %d op %d: popped %+v, model %+v", seed, op, got, model[0])
+					}
+					model = model[1:]
+				}
+			default: // snapshot, as a retransmit does
+				if got := ring.appendTo(nil); !reflect.DeepEqual(got, model) && len(got)+len(model) > 0 {
+					t.Fatalf("seed %d op %d: snapshot of %d items differs from the model's %d", seed, op, len(got), len(model))
+				}
+			}
+			if ring.len() != len(model) {
+				t.Fatalf("seed %d op %d: len %d, model %d", seed, op, ring.len(), len(model))
+			}
+			if len(ring.buf) > capLimit {
+				t.Fatalf("seed %d op %d: ring of %d slots for a bound of %d", seed, op, len(ring.buf), bound)
+			}
+			for i := ring.n; i < len(ring.buf); i++ {
+				if s := &ring.buf[(ring.head+i)&(len(ring.buf)-1)]; s.ev.Members != nil || s.seq != 0 {
+					t.Fatalf("seed %d op %d: free slot %d still holds %+v", seed, op, i, *s)
+				}
+			}
+		}
 	}
 }

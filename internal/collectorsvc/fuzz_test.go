@@ -2,6 +2,9 @@ package collectorsvc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,7 +23,11 @@ import (
 //   - DecodeFrame and ReadFrameBuffered agree: same frame or same
 //     error class;
 //   - anything that decodes successfully re-encodes to bytes that decode
-//     to the identical frame (the codec is self-consistent).
+//     to the identical frame (the codec is self-consistent);
+//   - encode then decode is the identity or an error: a report whose
+//     hop, report hops and node are read from the input's first 24
+//     bytes (as signed 64-bit values) is either refused with ErrBadFrame
+//     or decodes to exactly those values, never to truncated ones.
 func FuzzReportFrame(f *testing.F) {
 	ev := dataplane.LoopEvent{
 		Report:  detect.Report{Reporter: 0xDEADBEEF, Hops: 6},
@@ -39,8 +46,27 @@ func FuzzReportFrame(f *testing.F) {
 	f.Add(report[:len(report)-3])           // truncated mid-body
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})   // absurd length prefix
 	f.Add([]byte{0, 0, 0, 2, 9, FrameTick}) // unknown version
+	f.Add(wideFields(1<<32+5, 3, 1<<32+3))  // wider than the wire: refused
+	f.Add(wideFields(math.MaxUint32, math.MaxUint32, math.MaxUint32))
+	f.Add(wideFields(-1, 0, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 24 {
+			hop := int(int64(binary.BigEndian.Uint64(data)))
+			ev := dataplane.LoopEvent{
+				Report: detect.Report{Reporter: 9, Hops: int(int64(binary.BigEndian.Uint64(data[8:])))},
+				Node:   int(int64(binary.BigEndian.Uint64(data[16:]))),
+			}
+			out, err := AppendReport(nil, 1, ev, hop)
+			if err != nil {
+				if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("encoding hop %d, report hops %d, node %d: %v, want ErrBadFrame", hop, ev.Hops, ev.Node, err)
+				}
+			} else if back, _, err := DecodeFrame(out); err != nil || back.Hop != hop || back.Event.Hops != ev.Hops || back.Event.Node != ev.Node {
+				t.Fatalf("hop %d, report hops %d, node %d decoded as %+v, %v", hop, ev.Hops, ev.Node, back, err)
+			}
+		}
+
 		df, dn, derr := DecodeFrame(data)
 
 		// allocBytes reads process-wide counters, so allocations by the
@@ -98,4 +124,12 @@ func FuzzReportFrame(f *testing.F) {
 			t.Fatalf("round trip drifted: %+v vs %+v", back, df)
 		}
 	})
+}
+
+// wideFields is a FuzzReportFrame seed whose first 24 bytes pick a
+// report's hop, report hops and node for the encode-then-decode check.
+func wideFields(hop, hops, node int64) []byte {
+	b := binary.BigEndian.AppendUint64(nil, uint64(hop))
+	b = binary.BigEndian.AppendUint64(b, uint64(hops))
+	return binary.BigEndian.AppendUint64(b, uint64(node))
 }

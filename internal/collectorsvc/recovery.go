@@ -352,12 +352,12 @@ func (s *Server) applySnapshot(snap *journalSnapshot) error {
 	}
 	for _, sh := range s.shards {
 		sh.ctrl = dataplane.NewControllerWithConfig(s.cfg.Controller)
-		sh.flows = newFlowTable()
+		sh.flows.reset()
 		sh.evictions.Store(0)
 	}
 	for _, fe := range snap.Flows {
 		sh := s.shardFor(fe.Flow)
-		if _, dup := sh.flows.index[fe.Flow]; dup {
+		if sh.flows.find(fe.Flow) >= 0 {
 			return fmt.Errorf("%w: snapshot lists flow %d twice", ErrJournalCorrupt, fe.Flow)
 		}
 		sh.flows.add(fe.Flow).Restore(fe.Entries)

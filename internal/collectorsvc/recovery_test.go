@@ -34,18 +34,20 @@ func admission(st dataplane.ControllerStats) [5]uint64 {
 // TestCollectorFlowTableResetKeepsWindows: a shard worker resolves a
 // whole drained batch's windows before it delivers any of them, so a
 // MaxFlows reset in the middle of the batch must leave the windows
-// already handed out intact. One shard, MaxFlows 2, one batch
-// [f1, f2, f3, f9]: f3 forces the reset, and f9, new after it, carries
-// the same reporter and hop as f1 (as do f2 and f3). A table that
-// recycled pages or slots would hand f3 and f9 the windows f1 and f2
-// are about to fill, and dedup them; the totals must instead equal one
-// DeliverFlow per flow into windows of its own.
+// already handed out intact — across consecutive resets too. One
+// shard, MaxFlows 2, one batch [f1, f2, f3, f4, f5, f9]: f3 and f5 each
+// force a reset, and every flow carries the same reporter and hop. A
+// table that recycled pages or slots would hand f3, f4, f5 and f9 the
+// windows f1 and f2 (or f3 and f4) are about to fill, and dedup them;
+// the totals must instead equal one DeliverFlow per flow into windows
+// of its own.
 func TestCollectorFlowTableResetKeepsWindows(t *testing.T) {
+	flows := []uint32{1, 2, 3, 4, 5, 9}
 	sh := newShard(microloopController, 16, 2)
 	ref := dataplane.NewControllerWithConfig(microloopController)
 	const hop = 5
 	var batch []shardItem
-	for _, flow := range []uint32{1, 2, 3, 9} {
+	for _, flow := range flows {
 		ev := dataplane.LoopEvent{Report: detect.Report{Reporter: 4, Hops: 3}, Flow: flow}
 		batch = append(batch, shardItem{ev: ev, hop: hop})
 		ref.DeliverFlow(ev, &dataplane.DedupWindow{}, hop)
@@ -54,17 +56,34 @@ func TestCollectorFlowTableResetKeepsWindows(t *testing.T) {
 	sh.mu.Lock()
 	sh.closed = true
 	sh.mu.Unlock()
-	sh.run() // pops the four reports as one batch, then returns
-	if got, want := sh.ctrl.Stats(), ref.Stats(); got != want || got.Accepted != 4 {
-		t.Fatalf("batch across a flow-table reset: %+v, want %+v (all four accepted)", got, want)
+	sh.run() // pops the six reports as one batch, then returns
+	if got, want := sh.ctrl.Stats(), ref.Stats(); got != want || got.Accepted != uint64(len(flows)) {
+		t.Fatalf("batch across two flow-table resets: %+v, want %+v (all %d accepted)", got, want, len(flows))
 	}
-	if ev := sh.evictions.Load(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1 (f3 resets the table)", ev)
+	if ev := sh.evictions.Load(); ev != 2 {
+		t.Fatalf("evictions = %d, want 2 (f3 and f5 reset the table)", ev)
 	}
 	got := make(map[uint32]int)
 	sh.flows.each(func(sl *flowSlot) { got[sl.flow] = len(sl.w.AppendEntries(nil)) })
-	if want := map[uint32]int{3: 1, 9: 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("table after the reset holds %v, want %v", got, want)
+	if want := map[uint32]int{5: 1, 9: 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("table after the resets holds %v, want %v", got, want)
+	}
+
+	// The windows themselves: every flow of the batch got one of its
+	// own, and the flows still in the table resolve to theirs again.
+	sh = newShard(microloopController, 16, 2)
+	seen := make(map[*dataplane.DedupWindow]uint32)
+	for _, flow := range flows {
+		w := sh.window(flow)
+		if other, dup := seen[w]; dup {
+			t.Fatalf("flows %d and %d share a window across resets", other, flow)
+		}
+		seen[w] = flow
+	}
+	for w, flow := range seen {
+		if (flow == 5 || flow == 9) && sh.window(flow) != w {
+			t.Fatalf("flow %d resolves to a new window after the resets", flow)
+		}
 	}
 }
 

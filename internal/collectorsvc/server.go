@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,11 @@ type ServerConfig struct {
 	// report for an evicted flow may then be accepted where a single
 	// unbounded controller would have deduplicated it — bounded memory
 	// is bought with (counted) duplicate admissions, never with loss.
-	// <= 0 selects DefaultMaxFlows.
+	// Size it from the bytes per tracked flow: a 72-byte slot, plus
+	// index cells of 8 bytes, a power of two of them at most 3/4 full,
+	// sized once for MaxFlows flows (11 to 22 bytes a flow; 16 at the
+	// default). A full shard at the default holds 4.5 MiB of slots and
+	// 1 MiB of index. <= 0 selects DefaultMaxFlows.
 	MaxFlows int
 	// AckEvery acknowledges after this many accounted frames even if the
 	// connection stays busy; an ack is always flushed when the reader
@@ -332,7 +337,6 @@ func newShard(ctrlCfg dataplane.ControllerConfig, depth, maxFlows int) *shard {
 	sh := &shard{
 		ring:     make([]shardItem, depth),
 		ctrl:     dataplane.NewControllerWithConfig(ctrlCfg),
-		flows:    newFlowTable(),
 		maxFlows: maxFlows,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
@@ -478,15 +482,15 @@ func (sh *shard) run() {
 }
 
 // window returns (creating if needed) the flow's dedup window, applying
-// the bounded-table eviction policy: a full table is replaced by a fresh
-// one, never cleared in place, so windows an undelivered batch still
-// points at stay valid.
+// the bounded-table eviction policy: a full table starts over empty on
+// fresh pages, never on its old ones, so windows an undelivered batch
+// still points at stay valid.
 func (sh *shard) window(flow uint32) *dataplane.DedupWindow {
-	if i, ok := sh.flows.index[flow]; ok {
+	if i := sh.flows.find(flow); i >= 0 {
 		return &sh.flows.slot(i).w
 	}
 	if sh.flows.len() >= sh.maxFlows {
-		sh.flows = newFlowTable()
+		sh.flows.reset()
 		sh.evictions.Add(1)
 	}
 	return sh.flows.add(flow)
@@ -496,51 +500,129 @@ func (sh *shard) window(flow uint32) *dataplane.DedupWindow {
 // allocates one page per this many new flows.
 const flowPageSlots = 1024
 
-// flowSlot is one flow's dedup state in a flow table.
+// flowSlot is one flow's dedup state in a flow table: 72 bytes.
 type flowSlot struct {
 	flow uint32
 	w    dataplane.DedupWindow
 }
 
-// flowTable is a shard's dense per-flow dedup state: an index from flow
-// to slot number over fixed-size pages of slots, filled in first-seen
-// order. Neither the index nor a page holds a pointer, so the garbage
-// collector scans one small page list instead of a window per flow.
-// Pages are allocated as flows arrive and never moved or reused, which
-// keeps every *DedupWindow handed out stable for the table's lifetime.
+// flowTable is a shard's dense per-flow dedup state: an open-addressed
+// index from flow to slot number over fixed-size pages of slots, filled
+// in first-seen order. Neither the index nor a page holds a pointer, so
+// the garbage collector scans one small page list instead of a window
+// per flow.
+//
+// The index is two parallel arrays, cells[i] the flow and slots[i] its
+// slot number plus one (0 marks an empty cell), probed linearly from
+// the high bits of a mixed flow ID and kept at most 3/4 full. It
+// grows by doubling while a shard fills its first MaxFlows flows and is
+// only cleared at later resets, so it never grows again. Pages are not
+// reused: a reset drops them and later flows land on fresh ones, which
+// keeps every *DedupWindow handed out stable for as long as it is held
+// and lets the old pages be collected.
 type flowTable struct {
-	index map[uint32]int32
+	cells []uint32
+	slots []int32
+	shift uint8 // 32 - log2(len(cells))
+	n     int32
 	pages []*[flowPageSlots]flowSlot
 }
 
-func newFlowTable() flowTable {
-	return flowTable{index: make(map[uint32]int32)}
-}
+// flowIndexMin is the cell count of a flow index's first allocation.
+const flowIndexMin = 64
 
 // len returns the number of flows in the table.
-func (t *flowTable) len() int { return len(t.index) }
+func (t *flowTable) len() int { return int(t.n) }
 
 // slot returns slot i.
 func (t *flowTable) slot(i int32) *flowSlot {
 	return &t.pages[i/flowPageSlots][i%flowPageSlots]
 }
 
+// home returns flow's first probe cell: the high bits of xhash.Mix32.
+// Its low bits would not do, because they pick the shard (Mix32 modulo
+// the shard count), so all of one shard's flows share them. A full
+// mixer rather than one multiply, because flow IDs are packed fields
+// (epoch, source, journey in the scenarios) that a Fibonacci multiply
+// clusters; Mix32 spreads them like random keys.
+func (t *flowTable) home(flow uint32) int {
+	return int(xhash.Mix32(flow) >> t.shift)
+}
+
+// find returns flow's slot number, or -1 if the table does not hold it.
+//
+//unroller:hotpath
+func (t *flowTable) find(flow uint32) int32 {
+	if t.n == 0 {
+		return -1
+	}
+	mask := len(t.cells) - 1
+	for c := t.home(flow); ; c = (c + 1) & mask {
+		s := t.slots[c]
+		if s == 0 {
+			return -1
+		}
+		if t.cells[c] == flow {
+			return s - 1
+		}
+	}
+}
+
 // add appends a slot for a flow the table does not hold and returns its
 // (empty) window.
 func (t *flowTable) add(flow uint32) *dataplane.DedupWindow {
-	i := int32(len(t.index))
+	if 4*(int(t.n)+1) > 3*len(t.cells) {
+		t.grow()
+	}
+	i := t.n
+	t.insert(flow, i+1)
+	t.n++
 	if int(i) == len(t.pages)*flowPageSlots {
 		t.pages = append(t.pages, new([flowPageSlots]flowSlot))
 	}
-	t.index[flow] = i
 	sl := t.slot(i)
 	sl.flow = flow
 	return &sl.w
 }
 
+// insert puts flow with slot value s (slot number plus one) into the
+// first empty cell of its probe sequence.
+func (t *flowTable) insert(flow uint32, s int32) {
+	mask := len(t.cells) - 1
+	c := t.home(flow)
+	for t.slots[c] != 0 {
+		c = (c + 1) & mask
+	}
+	t.cells[c], t.slots[c] = flow, s
+}
+
+// grow doubles the index (or allocates its first flowIndexMin cells)
+// and reinserts every flow.
+func (t *flowTable) grow() {
+	cells, slots := t.cells, t.slots
+	n := max(2*len(cells), flowIndexMin)
+	t.cells, t.slots = make([]uint32, n), make([]int32, n)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+	for c, s := range slots {
+		if s != 0 {
+			t.insert(cells[c], s)
+		}
+	}
+}
+
+// reset empties the table in place: the index keeps its size and is
+// cleared (a cell is empty by its slot value alone, so the flows need
+// no clearing), and the pages are dropped for fresh ones.
+func (t *flowTable) reset() {
+	clear(t.slots)
+	clear(t.pages)
+	t.pages = t.pages[:0]
+	t.n = 0
+}
+
 // each calls fn for every slot in first-seen order.
 func (t *flowTable) each(fn func(*flowSlot)) {
-	n := len(t.index)
+	n := t.len()
 	for _, pg := range t.pages {
 		for k := range pg[:min(n, flowPageSlots)] {
 			fn(&pg[k])

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/unroller/unroller/internal/dataplane"
 	"github.com/unroller/unroller/internal/detect"
@@ -149,13 +150,18 @@ func AppendHello(dst []byte, clientID uint64) []byte {
 
 // AppendReport appends a report frame. hop is the reporting packet's
 // journey hop count when the report fired (the dedup context); seq is
-// the client's sequence number for exactly-once ingest.
+// the client's sequence number for exactly-once ingest. hop, ev.Hops
+// and ev.Node must lie in [0, 2^32), the wire's 32 bits; anything else
+// is rejected with ErrBadFrame rather than truncated.
 func AppendReport(dst []byte, seq uint64, ev dataplane.LoopEvent, hop int) ([]byte, error) {
 	if len(ev.Members) > MaxMembers {
 		return dst, fmt.Errorf("%w: %d members exceeds cap %d", ErrBadFrame, len(ev.Members), MaxMembers)
 	}
-	if hop < 0 || ev.Hops < 0 || ev.Node < 0 {
-		return dst, fmt.Errorf("%w: negative hop/node (hop=%d report-hops=%d node=%d)", ErrBadFrame, hop, ev.Hops, ev.Node)
+	// The fields are 32 bits on the wire: a negative or wider value
+	// would decode as a different one (uint64 of a negative int is
+	// above the bound too).
+	if uint64(hop) > math.MaxUint32 || uint64(ev.Hops) > math.MaxUint32 || uint64(ev.Node) > math.MaxUint32 {
+		return dst, fmt.Errorf("%w: hop/node outside [0, 2^32) (hop=%d report-hops=%d node=%d)", ErrBadFrame, hop, ev.Hops, ev.Node)
 	}
 	dst, off := appendPrefix(dst, FrameReport)
 	dst = binary.BigEndian.AppendUint64(dst, seq)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -163,17 +164,43 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestAppendReportRejectsBadEvents: events the wire format cannot carry
-// are refused at encode time, not mangled.
+// are refused at encode time, not mangled. The 32-bit fields take every
+// value in [0, 2^32) and round-trip it; one past either end is refused,
+// where a truncating encoder would send 2^32+5 as 5.
 func TestAppendReportRejectsBadEvents(t *testing.T) {
-	tooMany := dataplane.LoopEvent{Members: make([]detect.SwitchID, MaxMembers+1)}
-	if _, err := AppendReport(nil, 1, tooMany, 0); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("oversized membership: got %v, want ErrBadFrame", err)
+	const wide = math.MaxUint32 + 1
+	cases := []struct {
+		name string
+		ev   dataplane.LoopEvent
+		hop  int
+		ok   bool
+	}{
+		{"oversized membership", dataplane.LoopEvent{Members: make([]detect.SwitchID, MaxMembers+1)}, 0, false},
+		{"negative hop", dataplane.LoopEvent{}, -1, false},
+		{"negative report hops", dataplane.LoopEvent{Report: detect.Report{Hops: -1}}, 0, false},
+		{"negative node", dataplane.LoopEvent{Node: -3}, 0, false},
+		{"hop 2^32", dataplane.LoopEvent{}, wide, false},
+		{"hop 2^32+5", dataplane.LoopEvent{}, wide + 5, false},
+		{"report hops 2^32", dataplane.LoopEvent{Report: detect.Report{Hops: wide}}, 0, false},
+		{"node 2^32+3", dataplane.LoopEvent{Node: wide + 3}, 0, false},
+		{"max hop", dataplane.LoopEvent{}, math.MaxUint32, true},
+		{"max report hops and node", dataplane.LoopEvent{Report: detect.Report{Hops: math.MaxUint32}, Node: math.MaxUint32}, 7, true},
 	}
-	if _, err := AppendReport(nil, 1, dataplane.LoopEvent{}, -1); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("negative hop: got %v, want ErrBadFrame", err)
-	}
-	negNode := dataplane.LoopEvent{Node: -3}
-	if _, err := AppendReport(nil, 1, negNode, 0); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("negative node: got %v, want ErrBadFrame", err)
+	for _, tc := range cases {
+		b, err := AppendReport(nil, 1, tc.ev, tc.hop)
+		if !tc.ok {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s: got %v, want ErrBadFrame", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		f, _, err := DecodeFrame(b)
+		if err != nil || f.Hop != tc.hop || f.Event.Hops != tc.ev.Hops || f.Event.Node != tc.ev.Node {
+			t.Errorf("%s: decoded %+v, %v; want hop %d, report hops %d, node %d", tc.name, f, err, tc.hop, tc.ev.Hops, tc.ev.Node)
+		}
 	}
 }

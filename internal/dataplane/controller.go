@@ -183,11 +183,16 @@ const dedupEntries = 8
 // worker-count-invariant. A networked collector (internal/collectorsvc)
 // keeps one per flow on the ingesting shard and reproduces the same
 // decisions from the hop counts carried on the wire.
+//
+// Fields are as wide as the wire's: hops are stored in 32 bits (the
+// wire and the collector's snapshots carry them as uint32, and the
+// emulator's hop loop stops at 100001 hops), so a window is 68 bytes.
+// Hop arithmetic widens to int, so nothing wraps.
 type DedupWindow struct {
-	n int
+	n int32
 	e [dedupEntries]struct {
 		reporter detect.SwitchID
-		hop      int
+		hop      uint32
 	}
 }
 
@@ -206,30 +211,32 @@ type DedupEntry struct {
 // short of capacity: a caller with a stack array of the window's
 // capacity (8 slots) reads a window for free.
 func (d *DedupWindow) AppendEntries(dst []DedupEntry) []DedupEntry {
-	for i := 0; i < d.n; i++ {
-		dst = append(dst, DedupEntry{Reporter: d.e[i].reporter, Hop: d.e[i].hop})
+	for _, e := range d.e[:d.n] {
+		dst = append(dst, DedupEntry{Reporter: e.reporter, Hop: int(e.hop)})
 	}
 	return dst
 }
 
 // Restore rebuilds the window from previously captured entries,
 // truncating to capacity. AppendEntries then Restore is the identity
-// for any window the controller can produce.
+// for any window the controller can produce. Hops are kept in 32 bits,
+// as snapshots carry them.
 func (d *DedupWindow) Restore(entries []DedupEntry) {
 	d.n = 0
 	for _, e := range entries {
-		if d.n == len(d.e) {
+		if int(d.n) == len(d.e) {
 			return
 		}
 		d.e[d.n].reporter = e.Reporter
-		d.e[d.n].hop = e.Hop
+		d.e[d.n].hop = uint32(e.Hop)
 		d.n++
 	}
 }
 
 // DeliverFlow is the data-plane delivery path: per-flow dedup against w,
 // then the shared admission pipeline. hop is the reporting packet's hop
-// count when the report fired. Returns whether the event was accepted.
+// count when the report fired, in [0, 2^32) as on the wire (w stores it
+// in 32 bits). Returns whether the event was accepted.
 func (c *Controller) DeliverFlow(ev LoopEvent, w *DedupWindow, hop int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -266,8 +273,8 @@ func (c *Controller) DeliverFlowBatch(batch []FlowDelivery) int {
 // deliverFlowLocked is DeliverFlow's body. Caller holds mu.
 func (c *Controller) deliverFlowLocked(ev LoopEvent, w *DedupWindow, hop int) bool {
 	if c.cfg.DedupWindow > 0 {
-		for i := 0; i < w.n; i++ {
-			if w.e[i].reporter == ev.Reporter && hop-w.e[i].hop < c.cfg.DedupWindow {
+		for _, e := range w.e[:w.n] {
+			if e.reporter == ev.Reporter && hop-int(e.hop) < c.cfg.DedupWindow {
 				c.delivered++
 				c.deduped++
 				return false
@@ -276,15 +283,15 @@ func (c *Controller) deliverFlowLocked(ev LoopEvent, w *DedupWindow, hop int) bo
 		// Record the accepted-report anchor: update the reporter's
 		// entry, or take a free slot, or overwrite the stalest entry.
 		slot := -1
-		for i := 0; i < w.n; i++ {
-			if w.e[i].reporter == ev.Reporter {
+		for i, e := range w.e[:w.n] {
+			if e.reporter == ev.Reporter {
 				slot = i
 				break
 			}
 		}
 		if slot < 0 {
 			if w.n < dedupEntries {
-				slot = w.n
+				slot = int(w.n)
 				w.n++
 			} else {
 				slot = 0
@@ -296,7 +303,7 @@ func (c *Controller) deliverFlowLocked(ev LoopEvent, w *DedupWindow, hop int) bo
 			}
 		}
 		w.e[slot].reporter = ev.Reporter
-		w.e[slot].hop = hop
+		w.e[slot].hop = uint32(hop)
 	}
 	return c.admitLocked(ev)
 }
