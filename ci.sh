@@ -60,9 +60,10 @@
 #                 restart), report reuse for untouched destinations,
 #                 and a Clear for an unknown destination as a no-op
 #   fuzz smoke    5s of each bitpack fuzz target, of the Unroller
-#                 header decoder and visit-sequence targets, and of the
+#                 header decoder and visit-sequence targets, of the
 #                 distance-vector engine against its from-scratch
-#                 reference, and 10s
+#                 reference and of the shortest-path FIB installer
+#                 against its reference, and 10s
 #                 each of the packet wire-format, collector
 #                 report-frame, journal segment, and static FIB
 #                 verifier targets (`-fuzz
@@ -148,6 +149,9 @@ go test -run '^$' -fuzz '^FuzzVisitSequence$' -fuzztime 5s ./internal/core
 
 echo "==> fuzz smoke (internal/routing incremental engine vs from-scratch reference, 5s)"
 go test -run '^$' -fuzz '^FuzzStepReference$' -fuzztime 5s ./internal/routing
+
+echo "==> fuzz smoke (internal/dataplane shortest-path installer vs reference, 5s)"
+go test -run '^$' -fuzz '^FuzzInstallShortestPaths$' -fuzztime 5s ./internal/dataplane
 
 echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
 go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane

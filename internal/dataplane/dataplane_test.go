@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -461,15 +462,15 @@ func TestInstallShortestPathsDegenerate(t *testing.T) {
 
 	// The primary == -1 guard itself: a distance labelling with no
 	// strictly closer neighbour (every neighbour at the same level)
-	// must yield no next hop rather than node index -1.
-	if primary, _ := shortestNextHops([]int{1, 2}, []int{2, 2, 2}, 2); primary != -1 {
-		t.Fatalf("degenerate labelling produced next hop %d", primary)
+	// must yield no next-hop port rather than port -1.
+	if primary, _ := nextHopPorts([]int{1, 2}, []int32{2, 2, 2}, 2); primary != -1 {
+		t.Fatalf("degenerate labelling produced next-hop port %d", primary)
 	}
-	// Sanity on a consistent labelling: primary strictly closer, backup
-	// the equal-distance detour.
-	primary, backup := shortestNextHops([]int{1, 2}, []int{2, 1, 2}, 2)
-	if primary != 1 || backup != 2 {
-		t.Fatalf("next hops (%d, %d), want (1, 2)", primary, backup)
+	// Sanity on a consistent labelling: primary the strictly closer
+	// neighbour's port, backup the equal-distance detour's.
+	primary, backup := nextHopPorts([]int{1, 2}, []int32{2, 1, 2}, 2)
+	if primary != 0 || backup != 1 {
+		t.Fatalf("next-hop ports (%d, %d), want (0, 1)", primary, backup)
 	}
 }
 
@@ -482,5 +483,27 @@ func TestDispositionString(t *testing.T) {
 	}
 	if !strings.HasPrefix(Disposition(42).String(), "Disposition(") {
 		t.Error("unknown disposition should format numerically")
+	}
+}
+
+// TestNewNetworkAssignmentSize: NewNetwork refuses an assignment built
+// for a different graph, naming both sizes — a smaller one used to
+// panic while wiring switches, and a larger one built a network whose
+// SetRoute accepted identifiers of nodes the graph does not have.
+func TestNewNetworkAssignmentSize(t *testing.T) {
+	for _, tc := range []struct{ graph, assign int }{{8, 4}, {4, 8}} {
+		g, err := topology.Ring(tc.graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := topology.Ring(tc.assign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewNetwork(g, topology.NewAssignment(other, xrand.New(1)), core.DefaultConfig())
+		want := fmt.Sprintf("dataplane: assignment covers %d nodes, graph %s has %d", tc.assign, g.Name, tc.graph)
+		if err == nil || err.Error() != want {
+			t.Errorf("Ring(%d) with an assignment for Ring(%d): err = %v, want %q", tc.graph, tc.assign, err, want)
+		}
 	}
 }

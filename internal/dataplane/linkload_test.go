@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/unroller/unroller/internal/core"
@@ -91,9 +92,9 @@ func TestMaxLinkLoadDeterministicTieBreak(t *testing.T) {
 		n.ResetLoad()
 		// A three-way tie at load 7, with a lighter link mixed in.
 		for _, l := range [][2]int{{4, 5}, {1, 2}, {2, 3}} {
-			n.linkLoad[n.linkIndex[l]].Store(7)
+			n.linkLoad[linkIndex(t, n, l[0], l[1])].Store(7)
 		}
-		n.linkLoad[n.linkIndex[[2]int{0, 1}]].Store(3)
+		n.linkLoad[linkIndex(t, n, 0, 1)].Store(3)
 		u, v, load := n.MaxLinkLoad()
 		if u != 1 || v != 2 || load != 7 {
 			t.Fatalf("trial %d: MaxLinkLoad = {%d,%d}×%d, want the smallest tied link {1,2}×7", trial, u, v, load)
@@ -103,5 +104,82 @@ func TestMaxLinkLoadDeterministicTieBreak(t *testing.T) {
 	n.ResetLoad()
 	if u, v, load := n.MaxLinkLoad(); u != -1 || v != -1 || load != 0 {
 		t.Fatalf("unloaded network: {%d,%d}×%d", u, v, load)
+	}
+}
+
+// linkIndex is the index of the link {u, v}, read from u's port table.
+func linkIndex(t *testing.T, n *Network, u, v int) int32 {
+	t.Helper()
+	p, err := n.portTo(u, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n.switches[u].ports[p].link
+}
+
+// TestLinkIndexOrder: links are numbered once each in ascending (u, v)
+// order, and both endpoints' ports name the same link, also over
+// adjacency lists that are not sorted (random graphs grow a spanning
+// tree first). Absent links and nodes outside the graph read as down
+// with no load, and SetLink refuses them with the same error text.
+func TestLinkIndexOrder(t *testing.T) {
+	fat, err := topology.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*topology.Graph{fat, star(t, 255)}
+	for seed := uint64(1); seed <= 3; seed++ {
+		g, err := topology.ErdosRenyi(30, 0.15, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		n := buildNet(t, g, core.DefaultConfig(), 4)
+		if len(n.links) != g.M() {
+			t.Fatalf("%v: %d links indexed", g, len(n.links))
+		}
+		for i, l := range n.links {
+			if l[0] >= l[1] || !g.HasEdge(l[0], l[1]) {
+				t.Fatalf("%v: link %d is %v", g, i, l)
+			}
+			if i > 0 && (n.links[i-1][0] > l[0] || n.links[i-1][0] == l[0] && n.links[i-1][1] >= l[1]) {
+				t.Fatalf("%v: link %d %v follows %v", g, i, l, n.links[i-1])
+			}
+		}
+		for u := 0; u < g.N(); u++ {
+			for p, v := range g.Neighbors(u) {
+				li := n.switches[u].ports[p].link
+				if want := [2]int{min(u, v), max(u, v)}; n.links[li] != want {
+					t.Fatalf("%v: node %d port %d names link %d %v, want %v", g, u, p, li, n.links[li], want)
+				}
+			}
+		}
+	}
+
+	g, err := topology.Ring(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := buildNet(t, g, core.DefaultConfig(), 5)
+	n.linkLoad[linkIndex(t, n, 2, 3)].Store(9)
+	if n.LinkLoad(3, 2) != 9 || n.LinkLoad(2, 3) != 9 || !n.LinkIsUp(3, 2) {
+		t.Fatal("link {2,3} misread")
+	}
+	if err := n.SetLink(3, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	if n.LinkIsUp(2, 3) || n.Switch(2).PortUp(0) == n.Switch(2).PortUp(1) {
+		t.Fatal("SetLink(3, 2, false) left the link up")
+	}
+	for _, l := range [][2]int{{0, 3}, {1, 1}, {-1, 0}, {0, -1}, {6, 5}, {5, 6}, {99, 99}} {
+		if n.LinkIsUp(l[0], l[1]) || n.LinkLoad(l[0], l[1]) != 0 {
+			t.Fatalf("absent link %v reads up or loaded", l)
+		}
+		err := n.SetLink(l[0], l[1], true)
+		if want := fmt.Sprintf("dataplane: no link (%d,%d)", l[0], l[1]); err == nil || err.Error() != want {
+			t.Fatalf("SetLink%v: err = %v, want %q", l, err, want)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/unroller/unroller/internal/core"
@@ -19,8 +20,8 @@ import (
 // shared switch and link-load counters are atomic, and the Controller
 // sink is mutex-guarded. Route mutation (InstallShortestPaths,
 // InjectLoop, SetRoute, SetLoopPolicy, ResetLoad) must not race with
-// in-flight sends — configure first, then inject traffic, exactly like a
-// real network quiesces FIB updates.
+// in-flight sends or with other route mutation — configure first, then
+// inject traffic, exactly like a real network quiesces FIB updates.
 type Network struct {
 	Graph  *topology.Graph
 	Assign *topology.Assignment
@@ -39,21 +40,23 @@ type Network struct {
 	// in MaxLinkLoad — is deterministic. linkLoad[i] is the shared
 	// traversal counter for links[i]; Send bumps it atomically, while
 	// TrafficEngine workers batch traversals in private per-worker
-	// accumulators and merge them here when their flows finish.
-	links     [][2]int
-	linkIndex map[[2]int]int
-	linkLoad  []atomic.Uint64
-
-	// linkUp[i] is the physical state of links[i]; false means the wire
-	// is cut and switches drop on its ports (DropLink). Mutated only
-	// through SetLink while traffic is quiesced, like route mutation.
-	linkUp []bool
+	// accumulators and merge them here when their flows finish. A port's
+	// link index and the link's state live in its switch's port table
+	// (portInfo).
+	links    [][2]int
+	linkLoad []atomic.Uint64
 
 	// corrupt, when non-nil, injects wire-level bit flips into frames in
 	// flight. Decisions are a pure function of (seed, flow, hop), so a
 	// corrupted run is replayable and worker-count-invariant. Set via
 	// SetCorruption while quiesced.
 	corrupt *CorruptionModel
+
+	// bfsDist and bfsQueue are InstallShortestPaths' search scratch, one
+	// entry per node, allocated on first use and reused by every later
+	// install: route mutation never runs concurrently, so one pair
+	// serves the whole network.
+	bfsDist, bfsQueue []int32
 
 	// Controller receives every loop report raised in the data plane.
 	Controller *Controller
@@ -83,9 +86,13 @@ type Network struct {
 type ReportHook func(ev LoopEvent, hop int)
 
 // NewNetwork builds switches over g with identifiers from assign, all
-// running the same Unroller configuration. A node may have at most 255
-// ports, the most a one-byte forwarding-table entry can name.
+// running the same Unroller configuration. assign must cover exactly
+// the graph's nodes. A node may have at most 255 ports, the most a
+// one-byte forwarding-table entry can name.
 func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config) (*Network, error) {
+	if assign.Len() != g.N() {
+		return nil, fmt.Errorf("dataplane: assignment covers %d nodes, graph %s has %d", assign.Len(), g.Name, g.N())
+	}
 	for node := 0; node < g.N(); node++ {
 		if d := len(g.Neighbors(node)); d > maxPorts {
 			return nil, fmt.Errorf("dataplane: node %d has %d ports, more than the %d a switch's forwarding table can address", node, d, maxPorts)
@@ -115,41 +122,47 @@ func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config)
 	return n, nil
 }
 
-// indexLinks enumerates the undirected links in ascending (u, v) order
-// and gives every switch its per-port link index, so a forwarding hop
-// finds its link with one read of the switch's own table instead of
-// hashing a map key.
+// indexLinks numbers the undirected links {u, v} (u < v) in ascending
+// (u, v) order and gives every switch its per-port link index, so a
+// forwarding hop finds its link with one read of the switch's own table.
+// The numbering is a counting sort: each lower endpoint u owns a block
+// of indices sized by its count of higher neighbours, and visiting the
+// higher endpoints v in ascending order fills every block in ascending
+// v. A lower endpoint then finds its port's index by binary search in
+// its own block.
 func (n *Network) indexLinks() {
 	g := n.Graph
+	first := make([]int32, g.N()+1) // u's block is links[first[u]:first[u+1]]
 	for u := 0; u < g.N(); u++ {
+		first[u+1] = first[u]
 		for _, v := range g.Neighbors(u) {
 			if u < v {
-				n.links = append(n.links, [2]int{u, v})
+				first[u+1]++
 			}
 		}
 	}
-	sort.Slice(n.links, func(i, j int) bool {
-		a, b := n.links[i], n.links[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
+	n.links = make([][2]int, first[g.N()])
+	fill := slices.Clone(first[:g.N()])
+	for v, sw := range n.switches {
+		for p, u := range g.Neighbors(v) {
+			if u < v {
+				i := fill[u]
+				fill[u]++
+				n.links[i] = [2]int{u, v}
+				sw.ports[p].link = i
+			}
 		}
-		return a[1] < b[1]
-	})
-	n.linkIndex = make(map[[2]int]int, len(n.links))
-	for i, l := range n.links {
-		n.linkIndex[l] = i
-	}
-	n.linkLoad = make([]atomic.Uint64, len(n.links))
-	n.linkUp = make([]bool, len(n.links))
-	for i := range n.linkUp {
-		n.linkUp[i] = true
 	}
 	for u, sw := range n.switches {
+		block := n.links[first[u]:first[u+1]]
 		for p := range sw.ports {
-			v := int(sw.ports[p].peer)
-			sw.ports[p].link = int32(n.linkIndex[[2]int{min(u, v), max(u, v)}])
+			if v := int(sw.ports[p].peer); u < v {
+				i, _ := slices.BinarySearchFunc(block, v, func(l [2]int, v int) int { return cmp.Compare(l[1], v) })
+				sw.ports[p].link = first[u] + int32(i)
+			}
 		}
 	}
+	n.linkLoad = make([]atomic.Uint64, len(n.links))
 }
 
 // Switch returns the switch at a node index.
@@ -164,12 +177,24 @@ func (n *Network) SwitchByID(id detect.SwitchID) *Switch {
 	return n.switches[node]
 }
 
-// portTo returns u's port leading to neighbour node v.
-func (n *Network) portTo(u, v int) (PortID, error) {
+// port returns u's port leading to node v; ok is false when u is not a
+// node of the network or v is not one of its neighbours.
+func (n *Network) port(u, v int) (p PortID, ok bool) {
+	if u < 0 || u >= n.Graph.N() {
+		return 0, false
+	}
 	for p, w := range n.Graph.Neighbors(u) {
 		if w == v {
-			return PortID(p), nil
+			return PortID(p), true
 		}
+	}
+	return 0, false
+}
+
+// portTo returns u's port leading to neighbour node v.
+func (n *Network) portTo(u, v int) (PortID, error) {
+	if p, ok := n.port(u, v); ok {
+		return p, nil
 	}
 	return 0, fmt.Errorf("dataplane: node %d has no link to %d", u, v)
 }
@@ -185,23 +210,11 @@ func (n *Network) PortTo(u, v int) (PortID, error) { return n.portTo(u, v) }
 // which is exactly the window where transient loops live. Must not race
 // with in-flight sends.
 func (n *Network) SetLink(u, v int, up bool) error {
-	a, b := u, v
-	if a > b {
-		a, b = b, a
-	}
-	li, ok := n.linkIndex[[2]int{a, b}]
+	pu, ok := n.port(u, v)
 	if !ok {
 		return fmt.Errorf("dataplane: no link (%d,%d)", u, v)
 	}
-	n.linkUp[li] = up
-	pu, err := n.portTo(u, v)
-	if err != nil {
-		return err
-	}
-	pv, err := n.portTo(v, u)
-	if err != nil {
-		return err
-	}
+	pv, _ := n.port(v, u) // links are undirected: v has a port back to u
 	n.switches[u].ports[pu].up = up
 	n.switches[v].ports[pv].up = up
 	return nil
@@ -210,11 +223,8 @@ func (n *Network) SetLink(u, v int, up bool) error {
 // LinkIsUp reports the physical state of the link {u, v}; absent links
 // are down.
 func (n *Network) LinkIsUp(u, v int) bool {
-	if u > v {
-		u, v = v, u
-	}
-	li, ok := n.linkIndex[[2]int{u, v}]
-	return ok && n.linkUp[li]
+	p, ok := n.port(u, v)
+	return ok && n.switches[u].ports[p].up
 }
 
 // SetCorruption installs (or, with prob <= 0, removes) the wire
@@ -230,74 +240,72 @@ func (n *Network) SetCorruption(prob float64, seed uint64) {
 // towards dst along shortest paths (BFS tree from the destination). It
 // also installs backup next hops where an alternative shortest-or-equal
 // neighbour exists, enabling reroute-on-detect.
+//
+// One BFS from dst labels every node; each other node then picks both
+// ports in one scan of its adjacency list (nextHopPorts) and writes them
+// into its tables at dst's node index. The search runs in the network's
+// own scratch slices, which is sound because route mutation must not
+// race with sends or with other route mutation (see Network).
 func (n *Network) InstallShortestPaths(dst int) error {
-	if dst < 0 || dst >= n.Graph.N() {
-		return fmt.Errorf("dataplane: destination node %d out of range (graph has %d nodes)", dst, n.Graph.N())
+	g := n.Graph
+	if dst < 0 || dst >= g.N() {
+		return fmt.Errorf("dataplane: destination node %d out of range (graph has %d nodes)", dst, g.N())
 	}
-	dist := n.Graph.BFS(dst)
-	dstID := n.Assign.ID(dst)
-	for u := 0; u < n.Graph.N(); u++ {
+	if n.bfsDist == nil {
+		n.bfsDist = make([]int32, g.N())
+		n.bfsQueue = make([]int32, g.N())
+	}
+	dist := n.bfsDist
+	g.BFSInto(dst, dist, n.bfsQueue)
+	for u, du := range dist {
 		if u == dst {
 			continue
 		}
-		if dist[u] < 0 {
+		if du < 0 {
 			return fmt.Errorf("dataplane: node %d cannot reach destination %d", u, dst)
 		}
-		primary, backup := shortestNextHops(n.Graph.Neighbors(u), dist, dist[u])
+		primary, backup := nextHopPorts(g.Neighbors(u), dist, du)
 		if primary < 0 {
 			// Degenerate distance labelling (a BFS tree over a
 			// consistent undirected graph always has a parent, but a
-			// corrupt or hand-built dist can lack one). Without this
-			// guard the failure surfaces as portTo's confusing
-			// "node N has no link to -1".
+			// corrupt or hand-built dist can lack one).
 			return fmt.Errorf("dataplane: node %d has no shortest-path next hop towards destination %d", u, dst)
 		}
-		p, err := n.portTo(u, primary)
-		if err != nil {
-			return err
-		}
-		if err := n.switches[u].SetRoute(dstID, p); err != nil {
-			return err
-		}
+		sw := n.switches[u]
+		sw.fib = sw.setPort(sw.fib, dst, primary)
 		if backup >= 0 {
-			bp, err := n.portTo(u, backup)
-			if err != nil {
-				return err
-			}
-			if err := n.switches[u].SetBackup(dstID, bp); err != nil {
-				return err
-			}
+			sw.backup = sw.setPort(sw.backup, dst, backup)
 		}
 	}
 	return nil
 }
 
-// shortestNextHops picks u's primary next hop (a strictly closer
-// neighbour on the BFS tree) and a backup (another strictly closer
-// neighbour, falling back to an equal-distance detour that still makes
-// progress after one extra hop). du is dist[u]. primary is -1 when no
-// neighbour is strictly closer — a degenerate labelling the caller must
-// reject.
-func shortestNextHops(neighbors []int, dist []int, du int) (primary, backup int) {
-	primary, backup = -1, -1
-	for _, v := range neighbors {
-		if dist[v] == du-1 {
-			if primary < 0 {
-				primary = v
-			} else if backup < 0 {
-				backup = v
+// nextHopPorts picks u's primary and backup egress ports towards a
+// destination. neighbors is u's adjacency list, so a neighbour's position
+// in it is its port; dist is the destination's BFS labelling and du is
+// dist[u]. The primary is the first strictly closer neighbour (a parent
+// on the BFS tree). The backup is the second strictly closer one, else
+// the first equal-distance neighbour — a detour that still makes
+// progress after one extra hop. The scan stops once it has two strictly
+// closer neighbours. primary is -1 when no neighbour is strictly closer,
+// a degenerate labelling the caller must reject; backup is -1 when there
+// is no alternative.
+func nextHopPorts(neighbors []int, dist []int32, du int32) (primary, backup int) {
+	primary, equal := -1, -1
+	for p, v := range neighbors {
+		switch dist[v] {
+		case du - 1:
+			if primary >= 0 {
+				return primary, p
+			}
+			primary = p
+		case du:
+			if equal < 0 {
+				equal = p
 			}
 		}
 	}
-	if backup < 0 {
-		for _, v := range neighbors {
-			if v != primary && dist[v] == du {
-				backup = v
-				break
-			}
-		}
-	}
-	return primary, backup
+	return primary, equal
 }
 
 // InjectLoop misconfigures the FIBs for destination dst along the cycle:
@@ -598,14 +606,11 @@ func (n *Network) drain(sc *sendScratch) {
 // motivation: packets trapped in loops multiply the load on every link
 // the loop uses, degrading innocent traffic that shares them.
 func (n *Network) LinkLoad(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	i, ok := n.linkIndex[[2]int{u, v}]
+	p, ok := n.port(u, v)
 	if !ok {
 		return 0
 	}
-	return n.linkLoad[i].Load()
+	return n.linkLoad[n.switches[u].ports[p].link].Load()
 }
 
 // TotalPacketHops returns the network-wide traversal count — the

@@ -274,10 +274,10 @@ type portInfo struct {
 	peer int32
 	// link is the network's index of the link behind the port.
 	link int32
-	// up mirrors the physical state of that link. It is written only
-	// through Network.SetLink while traffic is quiesced (the
-	// fault-injection contract), so the hot path reads it without
-	// synchronisation.
+	// up is the physical state of that link, kept at both of its ports
+	// (Network.LinkIsUp reads it). It is written only through
+	// Network.SetLink while traffic is quiesced (the fault-injection
+	// contract), so the hot path reads it without synchronisation.
 	up bool
 }
 
@@ -331,14 +331,23 @@ func (s *Switch) install(table []uint8, dst detect.SwitchID, port PortID) ([]uin
 	if node < 0 {
 		return table, fmt.Errorf("dataplane: %v: destination %v is not a switch of the network", s.ID, dst)
 	}
+	return s.setPort(table, node, int(port)), nil
+}
+
+// setPort sets table's entry for the destination at node dst to port,
+// allocating the table on first use, and returns the table. The caller
+// has checked that dst is a node of the network and port one of the
+// switch's ports; NewNetwork's checks make the assignment's length the
+// node count and every port fit an entry.
+func (s *Switch) setPort(table []uint8, dst, port int) []uint8 {
 	if table == nil {
 		table = make([]uint8, s.assign.Len())
 		for i := range table {
 			table[i] = noPort
 		}
 	}
-	table[node] = uint8(port)
-	return table, nil
+	table[dst] = uint8(port)
+	return table
 }
 
 // SetRoute installs dst→port in the FIB. dst must identify a switch of

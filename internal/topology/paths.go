@@ -9,23 +9,37 @@ import (
 // BFS returns the hop distance from src to every node; unreachable nodes
 // get -1.
 func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.N())
+	dist := make([]int32, g.N())
+	g.BFSInto(src, dist, make([]int32, g.N()))
+	out := make([]int, len(dist))
+	for i, d := range dist {
+		out[i] = int(d)
+	}
+	return out
+}
+
+// BFSInto writes the hop distance from src to every node into dist,
+// -1 for unreachable nodes, using queue as its work list. Both slices
+// must hold at least N entries; the caller owns them and may reuse them
+// across searches, so a search allocates nothing.
+func (g *Graph) BFSInto(src int, dist, queue []int32) {
+	dist = dist[:g.N()]
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue[0] = int32(src)
+	for head, tail := 0, 1; head < tail; head++ {
+		u := queue[head]
+		du := dist[u] + 1
 		for _, v := range g.adj[u] {
 			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				dist[v] = du
+				queue[tail] = int32(v)
+				tail++
 			}
 		}
 	}
-	return dist
 }
 
 // Eccentricity returns the largest finite distance from u. It panics if
