@@ -8,8 +8,9 @@
 #                (unitchecker mode, incremental + cached)
 #   make race    unit tests under the race detector
 #   make fuzz    smoke run of every fuzz target (bitpack, core, the
-#                routing reference and the dataplane shortest-path
-#                installer 5s each, dataplane packet wire format,
+#                routing reference, the dataplane shortest-path
+#                installer and journal recovery against its reference
+#                recovery 5s each, dataplane packet wire format,
 #                collectorsvc report frames, journal segments, and the
 #                static FIB verifier 10s each)
 #   make oracle  the cross-plane verification gate under -race:
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVisitSequence$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzStepReference$$' -fuzztime 5s ./internal/routing
 	$(GO) test -run '^$$' -fuzz '^FuzzInstallShortestPaths$$' -fuzztime 5s ./internal/dataplane
+	$(GO) test -run '^$$' -fuzz '^FuzzRecoverReference$$' -fuzztime 5s ./internal/collectorsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzPacket$$' -fuzztime 10s ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz '^FuzzReportFrame$$' -fuzztime 10s ./internal/collectorsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 10s ./internal/collectorsvc

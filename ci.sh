@@ -62,8 +62,9 @@
 #   fuzz smoke    5s of each bitpack fuzz target, of the Unroller
 #                 header decoder and visit-sequence targets, of the
 #                 distance-vector engine against its from-scratch
-#                 reference and of the shortest-path FIB installer
-#                 against its reference, and 10s
+#                 reference, of the shortest-path FIB installer
+#                 against its reference and of journal recovery
+#                 against its reference recovery, and 10s
 #                 each of the packet wire-format, collector
 #                 report-frame, journal segment, and static FIB
 #                 verifier targets (`-fuzz
@@ -78,7 +79,8 @@
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
 #                 GOMAXPROCS) and network-send benchmarks, one
 #                 iteration each of journal append, of a snapshot
-#                 rotation over 4 shards x 32768 flows and of a
+#                 rotation over 4 shards x 32768 flows, of a restart
+#                 on a fixed multi-segment journal and of a
 #                 distance-vector isolate/restore cycle on a 12x12
 #                 torus (proof those paths stay runnable; not logged),
 #                 plus 2000-iteration collector-ingest (plain and
@@ -153,6 +155,9 @@ go test -run '^$' -fuzz '^FuzzStepReference$' -fuzztime 5s ./internal/routing
 echo "==> fuzz smoke (internal/dataplane shortest-path installer vs reference, 5s)"
 go test -run '^$' -fuzz '^FuzzInstallShortestPaths$' -fuzztime 5s ./internal/dataplane
 
+echo "==> fuzz smoke (internal/collectorsvc journal recovery vs reference recovery, 5s)"
+go test -run '^$' -fuzz '^FuzzRecoverReference$' -fuzztime 5s ./internal/collectorsvc
+
 echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
 go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane
 
@@ -188,7 +193,7 @@ go test -run '^$' -bench 'TrafficEngine|NetworkSend' -benchtime 100ms . | tee "$
 # at 1x the number is dial + warmup noise, and the regression gate
 # below would compare garbage against garbage.
 go test -run '^$' -bench 'CollectorIngest|ClusterIngest' -benchtime 2000x . | tee -a "$bench_out"
-go test -run '^$' -bench 'JournalAppend|SnapshotRotate' -benchtime 1x ./internal/collectorsvc
+go test -run '^$' -bench 'JournalAppend|SnapshotRotate|Recover' -benchtime 1x ./internal/collectorsvc
 go test -run '^$' -bench 'ConvergeChurn' -benchtime 1x ./internal/routing
 # benchlog exits 1 if the run lacks a gated entry or its Mpps fell
 # >20% below the last checked-in BENCH_collector.json entry.

@@ -232,7 +232,7 @@ func TestWireDedupNearMaxHop(t *testing.T) {
 			models[f.Event.Flow] = m
 		}
 		before := sh.ctrl.Stats().Deduped
-		sh.deliver(f.Event, f.Hop)
+		sh.ctrl.DeliverFlow(f.Event, sh.window(f.Event.Flow), f.Hop)
 		got := sh.ctrl.Stats().Deduped == before
 		if want := m.deliver(int(f.Event.Reporter), f.Hop, cfg.DedupWindow); got != want {
 			t.Fatalf("report %d (flow %d, reporter %d, hop %d): admitted %v, int window %v", i, f.Event.Flow, f.Event.Reporter, hop, got, want)

@@ -25,10 +25,11 @@ package collectorsvc
 // a flow listed twice is corruption.
 //
 // Every segment *starts* with a snapshot record, so any suffix of the
-// segment list is self-contained: replay applies the oldest retained
-// segment's head snapshot and then re-delivers every record after it.
-// That is what makes bounded retention safe — dropping the oldest
-// segments never orphans the records that remain.
+// segment list is self-contained: what any snapshot records is also in
+// every later one. Recovery therefore checks every record but applies
+// only the newest snapshot and re-delivers the records after it. That
+// is what makes bounded retention safe — dropping the oldest segments
+// never orphans the records that remain.
 //
 // Torn tails: a crash can leave a half-written record at the end of the
 // last segment. Replay stops at the first record whose length prefix
@@ -202,6 +203,10 @@ type Journal struct {
 	replayedRecs uint64
 	replayedSnap uint64
 	truncated    int64
+	// tail is the last segment's valid records as OpenJournal's torn-tail
+	// scan read them, kept for Replay so the segment is read once. Replay
+	// and rotation drop it.
+	tail []byte
 
 	closeOnce sync.Once
 	stopSync  chan struct{}
@@ -244,24 +249,27 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 		}
 	} else {
 		last := j.segs[len(j.segs)-1]
-		valid, total, err := validPrefixLen(filepath.Join(cfg.Dir, segName(last)))
+		path := filepath.Join(cfg.Dir, segName(last))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("collectorsvc: reading journal segment: %w", err)
 		}
-		if valid < total {
-			if err := os.Truncate(filepath.Join(cfg.Dir, segName(last)), valid); err != nil {
+		valid, _ := scanRecords(data, nil)
+		if valid < len(data) {
+			if err := os.Truncate(path, int64(valid)); err != nil {
 				return nil, fmt.Errorf("collectorsvc: truncating torn journal tail: %w", err)
 			}
-			j.truncated = total - valid
+			j.truncated = int64(len(data) - valid)
 		}
-		f, err := os.OpenFile(filepath.Join(cfg.Dir, segName(last)), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("collectorsvc: reopening journal segment: %w", err)
 		}
 		j.f = f
 		j.bw = bufio.NewWriterSize(f, 1<<16)
 		j.segIndex = last
-		j.segSize = valid
+		j.segSize = int64(valid)
+		j.tail = data[:valid:valid]
 	}
 	go j.syncLoop()
 	return j, nil
@@ -288,40 +296,40 @@ func (j *Journal) scanSegments() error {
 	return nil
 }
 
-// validPrefixLen scans one segment and returns the byte length of its
-// valid record prefix and the file's total length.
-func validPrefixLen(path string) (valid, total int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("collectorsvc: reading journal segment: %w", err)
-	}
-	n := int64(scanRecords(data, nil))
-	return n, int64(len(data)), nil
-}
-
 // scanRecords walks buf record by record, calling fn (when non-nil) with
-// each valid payload, and returns the byte offset of the first invalid
-// record (== len(buf) when every byte parses).
-func scanRecords(buf []byte, fn func(payload []byte)) int {
+// each valid record's offset and payload, and returns the byte offset of
+// the first invalid record (== len(buf) when every byte parses). It
+// stops early at the first error fn returns, and returns that record's
+// offset and the error.
+func scanRecords(buf []byte, fn func(off int, payload []byte) error) (int, error) {
 	off := 0
 	for {
 		rest := buf[off:]
 		if len(rest) < journalRecHeader {
-			return off
+			return off, nil
 		}
 		n := int(binary.BigEndian.Uint32(rest))
 		if n < 1 || n > len(rest)-journalRecHeader {
-			return off
+			return off, nil
 		}
 		payload := rest[journalRecHeader : journalRecHeader+n]
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:]) {
-			return off
+			return off, nil
 		}
 		if fn != nil {
-			fn(payload)
+			if err := fn(off, payload); err != nil {
+				return off, err
+			}
 		}
 		off += journalRecHeader + n
 	}
+}
+
+// nextPayload splits the first record off buf, whose records scanRecords
+// has already checked: it returns that record's payload and the rest.
+func nextPayload(buf []byte) (payload, rest []byte) {
+	end := journalRecHeader + int(binary.BigEndian.Uint32(buf))
+	return buf[journalRecHeader:end], buf[end:]
 }
 
 // openSegmentLocked creates segment idx, writes headSnapshot (a
@@ -338,6 +346,7 @@ func (j *Journal) openSegmentLocked(idx uint64, headSnapshot []byte) error {
 	j.segIndex = idx
 	j.segSize = 0
 	j.segs = append(j.segs, idx)
+	j.tail = nil
 	j.appendLocked(headSnapshot)
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("collectorsvc: writing segment snapshot: %w", err)
@@ -497,7 +506,9 @@ func (j *Journal) syncLoop() {
 	}
 }
 
-// journalRecord is one replayed record, decoded.
+// journalRecord is one replayed record, decoded. Only the fields of its
+// kind are set: clientID and seq for a tick, those plus hop and ev for a
+// report, snap for a snapshot.
 type journalRecord struct {
 	kind     uint8
 	clientID uint64
@@ -505,6 +516,12 @@ type journalRecord struct {
 	hop      int
 	ev       LoopEventRecord
 	snap     *journalSnapshot
+	// seg is the buffer of the segment the record was read from, segNo
+	// that segment's position in the replay (0 for the oldest), and
+	// seg[off:end] the whole record, header included.
+	seg      []byte
+	segNo    int
+	off, end int
 }
 
 // LoopEventRecord mirrors dataplane.LoopEvent's journaled fields.
@@ -518,40 +535,57 @@ type LoopEventRecord struct {
 }
 
 // Replay iterates every retained segment in order, decoding each record
-// and passing it to apply. A decode failure mid-history (any segment but
-// the last, or before the last segment's final record run) returns
-// ErrJournalCorrupt; the torn tail of the final segment was already
-// truncated at open.
+// and passing it to apply; it stops at the first error apply returns
+// and returns it. A record that does not decode, or a tear anywhere but
+// at the end of the last segment, returns ErrJournalCorrupt; the torn
+// tail of the final segment was already truncated at open.
+//
+// Every record is decoded into the same journalRecord, so apply must
+// copy what it keeps of rec, Members included. Two things outlive the
+// call: rec.snap, decoded afresh for each snapshot, and rec.seg, a
+// segment buffer Replay never reuses or writes (rec.snap's flow section
+// points into it).
+//
+// Each segment is read once: the last from the bytes OpenJournal's
+// torn-tail scan read, unless records were appended since. The journal
+// keeps no segment bytes once Replay returns.
 func (j *Journal) Replay(apply func(rec *journalRecord) error) error {
 	j.mu.Lock()
 	segs := append([]uint64(nil), j.segs...)
+	tail := j.tail
+	if int64(len(tail)) != j.segSize {
+		tail = nil // appended to since OpenJournal: read it afresh
+	}
+	j.tail = nil
 	j.mu.Unlock()
+	var rec journalRecord
 	for i, idx := range segs {
-		path := filepath.Join(j.cfg.Dir, segName(idx))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("collectorsvc: replaying journal: %w", err)
+		data := tail
+		if i < len(segs)-1 || data == nil {
+			var err error
+			if data, err = os.ReadFile(filepath.Join(j.cfg.Dir, segName(idx))); err != nil {
+				return fmt.Errorf("collectorsvc: replaying journal: %w", err)
+			}
 		}
-		var applyErr error
-		end := scanRecords(data, func(payload []byte) {
-			if applyErr != nil {
-				return
+		rec.seg, rec.segNo = data, i
+		var recs, snaps uint64
+		end, err := scanRecords(data, func(off int, payload []byte) error {
+			if err := decodeJournalPayload(payload, &rec); err != nil {
+				return fmt.Errorf("%w: segment %s, record at byte %d: %w", ErrJournalCorrupt, segName(idx), off, err)
 			}
-			rec, err := decodeJournalPayload(payload)
-			if err != nil {
-				applyErr = err
-				return
-			}
-			j.mu.Lock()
-			j.replayedRecs++
+			rec.off, rec.end = off, off+journalRecHeader+len(payload)
+			recs++
 			if rec.kind == jrecSnapshot {
-				j.replayedSnap++
+				snaps++
 			}
-			j.mu.Unlock()
-			applyErr = apply(rec)
+			return apply(&rec)
 		})
-		if applyErr != nil {
-			return applyErr
+		j.mu.Lock()
+		j.replayedRecs += recs
+		j.replayedSnap += snaps
+		j.mu.Unlock()
+		if err != nil {
+			return err
 		}
 		if end != len(data) && i != len(segs)-1 {
 			return fmt.Errorf("%w: segment %s torn at byte %d of %d", ErrJournalCorrupt, segName(idx), end, len(data))
@@ -581,6 +615,7 @@ func (j *Journal) Close() error {
 		}
 		j.bw, j.f = nil, nil
 	}
+	j.tail = nil
 	if err != nil {
 		return fmt.Errorf("collectorsvc: closing journal: %w", err)
 	}
@@ -651,10 +686,11 @@ func appendJournalTick(dst []byte, clientID, seq uint64) []byte {
 // recovery resumes from. Counter baselines are cumulative totals at the
 // cut; client seqs are the exactly-once high-water marks; dedup windows
 // are the per-flow admission context, stored flat (flow-keyed) so the
-// snapshot is valid for any shard count. A live rotation never builds
-// one with Flows: it encodes the head from a journalSnapshot and the
-// flow section straight from the shard flow tables (see
-// Server.snapshotRecordLocked).
+// snapshot is valid for any shard count. The windows stay encoded: a
+// decoded snapshot holds its flow section as the validated bytes and
+// eachFlow walks them. A live rotation never builds a flow section
+// here: it encodes the head from a journalSnapshot and the flow records
+// straight from the shard flow tables (see Server.snapshotRecordLocked).
 type journalSnapshot struct {
 	// Server counter baselines, in ServerStats order.
 	Conns, Frames, BadFrames, Dupes uint64
@@ -670,10 +706,11 @@ type journalSnapshot struct {
 	// span list per client (the high-water mark is the last span's
 	// Last).
 	Clients []clientSeqEntry
-	// Per-flow dedup windows, keyed by flow: per shard in first-seen
-	// order as a rotation writes them, in any order as replay reads
-	// them, each flow at most once.
-	Flows []flowWindowEntry
+	// The flow section: nFlows flow records as appendFlowRecord writes
+	// them, per shard in first-seen order as a rotation writes them, in
+	// any order as replay reads them, each flow at most once.
+	flows  []byte
+	nFlows int
 }
 
 type clientSeqEntry struct {
@@ -681,24 +718,15 @@ type clientSeqEntry struct {
 	Spans []SeqSpan
 }
 
-type flowWindowEntry struct {
-	Flow    uint32
-	Entries []dataplane.DedupEntry
-}
-
 // emptySnapshot is the genesis state.
 func emptySnapshot() *journalSnapshot { return &journalSnapshot{} }
 
-// encodeSnapshot appends the payload of s, flows included: the genesis
-// snapshot and the codec's tests. A live rotation writes the same bytes
-// through the same appendSnapshotHead and appendFlowRecord, taking the
-// flows from the shard flow tables instead of s.Flows.
+// encodeSnapshot appends the payload of s, its flow section included:
+// the genesis snapshot and the codec's tests. A live rotation writes the
+// same layout through the same appendSnapshotHead and appendFlowRecord,
+// taking the flows from the shard flow tables.
 func encodeSnapshot(dst []byte, s *journalSnapshot) []byte {
-	dst = appendSnapshotHead(dst, s, len(s.Flows))
-	for _, f := range s.Flows {
-		dst = appendFlowRecord(dst, f.Flow, f.Entries)
-	}
-	return dst
+	return append(appendSnapshotHead(dst, s, s.nFlows), s.flows...)
 }
 
 // snapshotCounters is the number of u64 counters in a snapshot head.
@@ -716,7 +744,8 @@ func snapshotHeadLen(s *journalSnapshot) int {
 
 // appendSnapshotHead appends a snapshot payload up to its flow section:
 // type, version, counters, the client table, and nFlows, the number of
-// flow records appendFlowRecord appends after it. s.Flows is ignored.
+// flow records appendFlowRecord appends after it. s's own flow section
+// is ignored.
 func appendSnapshotHead(dst []byte, s *journalSnapshot, nFlows int) []byte {
 	dst = append(dst, jrecSnapshot, snapshotVersion)
 	for _, v := range [snapshotCounters]uint64{
@@ -756,21 +785,50 @@ func appendFlowRecord(dst []byte, flow uint32, entries []dataplane.DedupEntry) [
 	return dst
 }
 
+// eachFlow calls fn for every record of the snapshot's flow section, in
+// order, with the flow and its window entries still encoded (8 bytes
+// each, as appendFlowRecord writes them; appendDedupEntries reads
+// them). It stops at the first error fn returns and returns it.
+func (s *journalSnapshot) eachFlow(fn func(flow uint32, window []byte) error) error {
+	b := s.flows
+	for range s.nFlows {
+		n := flowRecordLen(int(b[4]))
+		if err := fn(binary.BigEndian.Uint32(b), b[5:n]); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
+}
+
+// appendDedupEntries appends the entries of an encoded window to dst.
+func appendDedupEntries(dst []dataplane.DedupEntry, window []byte) []dataplane.DedupEntry {
+	for ; len(window) >= 8; window = window[8:] {
+		dst = append(dst, dataplane.DedupEntry{
+			Reporter: detect.SwitchID(binary.BigEndian.Uint32(window)),
+			Hop:      int(binary.BigEndian.Uint32(window[4:])),
+		})
+	}
+	return dst
+}
+
 // errBadJournalRecord mirrors ErrBadFrame for the journal codec.
 var errBadJournalRecord = errors.New("collectorsvc: malformed journal record")
 
-// decodeJournalPayload parses one record payload (CRC already checked).
-func decodeJournalPayload(p []byte) (*journalRecord, error) {
+// decodeJournalPayload parses one record payload (CRC already checked)
+// into rec, reusing rec's Members buffer. A snapshot is decoded into a
+// fresh journalSnapshot whose flow section points into p.
+func decodeJournalPayload(p []byte, rec *journalRecord) error {
 	if len(p) < 1 {
-		return nil, fmt.Errorf("%w: empty payload", errBadJournalRecord)
+		return fmt.Errorf("%w: empty payload", errBadJournalRecord)
 	}
-	rec := &journalRecord{kind: p[0]}
+	rec.kind, rec.snap = p[0], nil
 	body := p[1:]
 	switch rec.kind {
 	case jrecReport:
 		const fixed = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 2
 		if len(body) < fixed {
-			return nil, fmt.Errorf("%w: report record of %d bytes, want at least %d", errBadJournalRecord, len(body), fixed)
+			return fmt.Errorf("%w: report record of %d bytes, want at least %d", errBadJournalRecord, len(body), fixed)
 		}
 		rec.clientID = binary.BigEndian.Uint64(body)
 		rec.seq = binary.BigEndian.Uint64(body[8:])
@@ -781,33 +839,31 @@ func decodeJournalPayload(p []byte) (*journalRecord, error) {
 		rec.ev.Node = int(binary.BigEndian.Uint32(body[32:]))
 		count := int(binary.BigEndian.Uint16(body[36:]))
 		if count > MaxMembers {
-			return nil, fmt.Errorf("%w: %d members exceeds cap %d", errBadJournalRecord, count, MaxMembers)
+			return fmt.Errorf("%w: %d members exceeds cap %d", errBadJournalRecord, count, MaxMembers)
 		}
 		if len(body) != fixed+4*count {
-			return nil, fmt.Errorf("%w: report record of %d bytes for %d members", errBadJournalRecord, len(body), count)
+			return fmt.Errorf("%w: report record of %d bytes for %d members", errBadJournalRecord, len(body), count)
 		}
-		if count > 0 {
-			rec.ev.Members = make([]uint32, count)
-			for i := range rec.ev.Members {
-				rec.ev.Members[i] = binary.BigEndian.Uint32(body[fixed+4*i:])
-			}
+		rec.ev.Members = rec.ev.Members[:0]
+		for i := 0; i < count; i++ {
+			rec.ev.Members = append(rec.ev.Members, binary.BigEndian.Uint32(body[fixed+4*i:]))
 		}
 	case jrecTick:
 		if len(body) != 16 {
-			return nil, fmt.Errorf("%w: tick record of %d bytes, want 16", errBadJournalRecord, len(body))
+			return fmt.Errorf("%w: tick record of %d bytes, want 16", errBadJournalRecord, len(body))
 		}
 		rec.clientID = binary.BigEndian.Uint64(body)
 		rec.seq = binary.BigEndian.Uint64(body[8:])
 	case jrecSnapshot:
 		snap, err := decodeSnapshot(body)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rec.snap = snap
 	default:
-		return nil, fmt.Errorf("%w: unknown record type %d", errBadJournalRecord, rec.kind)
+		return fmt.Errorf("%w: unknown record type %d", errBadJournalRecord, rec.kind)
 	}
-	return rec, nil
+	return nil
 }
 
 // decodeSnapshot parses a snapshot payload body (after the type byte).
@@ -860,38 +916,22 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 	}
 	nFlows := int(binary.BigEndian.Uint32(body))
 	body = body[4:]
-	if nFlows > 0 {
-		// Every flow record is at least flowRecordLen(0) bytes, which
-		// bounds both allocations below by the payload's size: one
-		// record slice, and one entry array the windows are cut from.
-		if nFlows > len(body)/flowRecordLen(0) {
-			return nil, fmt.Errorf("%w: snapshot flow table overruns payload", errBadJournalRecord)
+	// The flow section is checked record by record and kept encoded.
+	// Every flow record is at least flowRecordLen(0) bytes, which bounds
+	// the walk by the payload's size.
+	if nFlows > len(body)/flowRecordLen(0) {
+		return nil, fmt.Errorf("%w: snapshot flow table overruns payload", errBadJournalRecord)
+	}
+	s.flows, s.nFlows = body, nFlows
+	for range nFlows {
+		if len(body) < flowRecordLen(0) {
+			return nil, fmt.Errorf("%w: snapshot flow entry overruns payload", errBadJournalRecord)
 		}
-		s.Flows = make([]flowWindowEntry, nFlows)
-		entries := make([]dataplane.DedupEntry, 0, (len(body)-nFlows*flowRecordLen(0))/8)
-		for i := range s.Flows {
-			if len(body) < flowRecordLen(0) {
-				return nil, fmt.Errorf("%w: snapshot flow entry overruns payload", errBadJournalRecord)
-			}
-			fe := &s.Flows[i]
-			fe.Flow = binary.BigEndian.Uint32(body)
-			n := int(body[4])
-			body = body[5:]
-			if len(body) < n*8 {
-				return nil, fmt.Errorf("%w: snapshot window overruns payload", errBadJournalRecord)
-			}
-			if n > 0 {
-				at := len(entries)
-				for k := 0; k < n; k++ {
-					entries = append(entries, dataplane.DedupEntry{
-						Reporter: detect.SwitchID(binary.BigEndian.Uint32(body[8*k:])),
-						Hop:      int(binary.BigEndian.Uint32(body[8*k+4:])),
-					})
-				}
-				fe.Entries = entries[at:len(entries):len(entries)]
-			}
-			body = body[n*8:]
+		n := flowRecordLen(int(body[4]))
+		if len(body) < n {
+			return nil, fmt.Errorf("%w: snapshot window overruns payload", errBadJournalRecord)
 		}
+		body = body[n:]
 	}
 	if len(body) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", errBadJournalRecord, len(body))

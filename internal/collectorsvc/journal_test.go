@@ -36,16 +36,48 @@ func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
 	j.mu.Unlock()
 }
 
-// replayAll collects every replayed record.
+// replayAll collects a copy of every replayed record.
 func replayAll(t *testing.T, j *Journal) []*journalRecord {
 	t.Helper()
 	var out []*journalRecord
 	if err := j.Replay(func(rec *journalRecord) error {
-		out = append(out, rec)
+		out = append(out, copyRecord(rec))
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
+	return out
+}
+
+// copyRecord copies a record out of the one Replay reuses.
+func copyRecord(rec *journalRecord) *journalRecord {
+	c := *rec
+	c.ev.Members = append([]uint32(nil), rec.ev.Members...)
+	return &c
+}
+
+// testFlow is one flow's dedup window in a test snapshot's flow section.
+type testFlow struct {
+	flow    uint32
+	entries []dataplane.DedupEntry
+}
+
+// withFlows gives s a flow section listing flows in order and returns s.
+func withFlows(s *journalSnapshot, flows ...testFlow) *journalSnapshot {
+	s.flows, s.nFlows = nil, len(flows)
+	for _, f := range flows {
+		s.flows = appendFlowRecord(s.flows, f.flow, f.entries)
+	}
+	return s
+}
+
+// snapshotFlows decodes a snapshot's flow section.
+func snapshotFlows(s *journalSnapshot) []testFlow {
+	var out []testFlow
+	s.eachFlow(func(flow uint32, window []byte) error {
+		out = append(out, testFlow{flow: flow, entries: appendDedupEntries(nil, window)})
+		return nil
+	})
 	return out
 }
 
@@ -142,6 +174,46 @@ func TestJournalRotationAndRetention(t *testing.T) {
 	}
 	if first != recs[0].snap.Ingested+1 {
 		t.Errorf("first replayed seq %d does not follow snapshot baseline %d", first, recs[0].snap.Ingested)
+	}
+}
+
+// TestJournalReplayReadsLastSegmentOnce: Replay replays the last
+// segment from the bytes OpenJournal's torn-tail scan read, not from a
+// second read of the file, and only once; after an append it reads the
+// file afresh.
+func TestJournalReplayReadsLastSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	appendReport(j, 7, 1, 100, 2)
+	appendReport(j, 7, 2, 101, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	// Clobber the file after the open: the handed-off bytes still hold
+	// the three records, a second read of the file holds none.
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, []byte("clobbered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recs := replayAll(t, j2); len(recs) != 3 {
+		t.Fatalf("first replay saw %d records, want the 3 read at open", len(recs))
+	}
+	if recs := replayAll(t, j2); len(recs) != 0 {
+		t.Fatalf("second replay saw %d records in a clobbered file: the journal kept the segment's bytes", len(recs))
+	}
+
+	// An append after the open makes the open's bytes stale.
+	dir = t.TempDir()
+	j = openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	appendReport(j, 7, 1, 100, 2)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	appendReport(j3, 7, 2, 101, 3)
+	if recs := replayAll(t, j3); len(recs) != 3 || recs[2].seq != 2 {
+		t.Fatalf("replay after an append saw %d records, want 3 ending in the appended one", len(recs))
 	}
 }
 
@@ -247,17 +319,17 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 			{ID: 1, Spans: []SeqSpan{{First: 1, Last: 30}, {First: 44, Last: 50}}},
 			{ID: 9, Spans: []SeqSpan{{First: 1, Last: 40}}},
 		},
-		Flows: []flowWindowEntry{
-			{Flow: 0xDEAD, Entries: []dataplane.DedupEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
-			{Flow: 0xBEEF},
-		},
 	}
+	withFlows(s,
+		testFlow{flow: 0xDEAD, entries: []dataplane.DedupEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
+		testFlow{flow: 0xBEEF},
+	)
 	payload := encodeSnapshot(nil, s)
 	if want := snapshotHeadLen(s) + flowRecordLen(2) + flowRecordLen(0); len(payload) != want {
 		t.Fatalf("snapshot payload is %d bytes, the size functions say %d", len(payload), want)
 	}
-	rec, err := decodeJournalPayload(payload)
-	if err != nil {
+	var rec journalRecord
+	if err := decodeJournalPayload(payload, &rec); err != nil {
 		t.Fatal(err)
 	}
 	got := rec.snap
@@ -275,8 +347,8 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 		len(got.Clients[1].Spans) != 1 || got.Clients[1].Spans[0].Last != 40 {
 		t.Errorf("client spans decoded as %+v", got.Clients)
 	}
-	if len(got.Flows) != 2 || len(got.Flows[0].Entries) != 2 || got.Flows[0].Entries[1].Hop != 3 {
-		t.Errorf("flow windows decoded as %+v", got.Flows)
+	if flows := snapshotFlows(got); len(flows) != 2 || len(flows[0].entries) != 2 || flows[0].entries[1].Hop != 3 {
+		t.Errorf("flow windows decoded as %+v", flows)
 	}
 }
 
@@ -328,9 +400,10 @@ func TestParseFsyncPolicy(t *testing.T) {
 
 // FuzzJournalSegment: for arbitrary bytes, scanning a segment must not
 // panic; every record the scanner accepts must decode; decoded records
-// must re-encode to the identical payload (fixed point); and truncating
-// the buffer anywhere must only ever shrink the valid record prefix
-// (torn-tail tolerance).
+// must re-encode to the identical payload (fixed point; a snapshot's
+// flow section is re-encoded flow by flow from its iterator); and
+// truncating the buffer anywhere must only ever shrink the valid record
+// prefix (torn-tail tolerance).
 func FuzzJournalSegment(f *testing.F) {
 	f.Add(appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot())))
 	f.Add(appendJournalRecord(nil, appendJournalTick(nil, 1, 2)))
@@ -340,15 +413,16 @@ func FuzzJournalSegment(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
-		end := scanRecords(data, func(p []byte) {
+		end, _ := scanRecords(data, func(_ int, p []byte) error {
 			payloads = append(payloads, append([]byte(nil), p...))
+			return nil
 		})
 		if end > len(data) {
 			t.Fatalf("scan ran past the buffer: %d > %d", end, len(data))
 		}
+		var rec journalRecord
 		for _, p := range payloads {
-			rec, err := decodeJournalPayload(p)
-			if err != nil {
+			if err := decodeJournalPayload(p, &rec); err != nil {
 				continue // CRC-valid but semantically malformed is a decode error, not a panic
 			}
 			var round []byte
@@ -358,7 +432,10 @@ func FuzzJournalSegment(f *testing.F) {
 			case jrecTick:
 				round = appendJournalTick(nil, rec.clientID, rec.seq)
 			case jrecSnapshot:
-				round = encodeSnapshot(nil, rec.snap)
+				round = appendSnapshotHead(nil, rec.snap, rec.snap.nFlows)
+				for _, f := range snapshotFlows(rec.snap) {
+					round = appendFlowRecord(round, f.flow, f.entries)
+				}
 			}
 			if !bytes.Equal(round, p) {
 				t.Fatalf("decode/re-encode not a fixed point for kind %d", rec.kind)
@@ -369,7 +446,7 @@ func FuzzJournalSegment(f *testing.F) {
 		if len(data) > 0 {
 			cut := data[:len(data)-1]
 			n := 0
-			scanRecords(cut, func(p []byte) { n++ })
+			scanRecords(cut, func(int, []byte) error { n++; return nil })
 			if n > len(payloads) {
 				t.Fatalf("truncated buffer parsed %d records, original only %d", n, len(payloads))
 			}

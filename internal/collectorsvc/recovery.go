@@ -3,12 +3,13 @@ package collectorsvc
 // Snapshot capture and journal replay: the two halves of crash
 // recovery. Capture runs at segment rotation and freezes a consistent
 // cut of the server (counters, per-client sequence high-water marks,
-// per-flow dedup windows, aggregate controller totals); replay rebuilds
-// that cut at boot and then re-delivers every record journaled after
-// it. Both sides are deliberately single-threaded and shard-count
-// agnostic: the snapshot keys dedup state by flow, not by shard, and
-// replay re-routes each flow through shardFor, so a recovered server
-// may run a different -shards value than the one that crashed.
+// per-flow dedup windows, aggregate controller totals); replay checks
+// every journaled record, rebuilds the newest cut at boot and then
+// re-delivers every record journaled after it. Both sides are
+// deliberately single-threaded and shard-count agnostic: the snapshot
+// keys dedup state by flow, not by shard, and replay re-routes each
+// flow through shardFor, so a recovered server may run a different
+// -shards value than the one that crashed.
 
 import (
 	"errors"
@@ -153,14 +154,13 @@ func (s *Server) captureSnapshotLocked() *journalSnapshot {
 	return snap
 }
 
-// stagedRecord is one post-snapshot journal record parked between
-// replay and commit.
-type stagedRecord struct {
-	clientID uint64
-	seq      uint64
-	ev       dataplane.LoopEvent
-	hop      int
-	tick     bool
+// stagedRange is a run of whole journal records parked between replay
+// and commit: seg[off:end] of the buffer of segment segNo of the replay
+// (see journalRecord). Replay has checked every record in it.
+type stagedRange struct {
+	seg      []byte
+	segNo    int
+	off, end int
 }
 
 // StagedRecovery is a journal replay paused at the reconciliation
@@ -176,14 +176,24 @@ type stagedRecord struct {
 // snapshot: records a rotation has folded into the snapshot's counters
 // can no longer be discarded record-by-record (see DESIGN §13 for the
 // sizing rule this implies).
+//
+// Staged records stay in the segment buffers Replay read, as about one
+// byte range per segment, and are decoded once, by Commit.
 type StagedRecovery struct {
 	srv    *Server
-	staged []stagedRecord
+	ranges []stagedRange
+	staged int
 }
 
 // NewStagedRecoveredServer builds a server, applies the journal's
 // snapshot cut, and stages the post-snapshot records for Commit.
 // cfg.Journal must be set.
+//
+// Replay decodes, and so checks, every record, but only the state that
+// survives is built. A snapshot supersedes everything before it, so
+// when a newer one arrives the older gets only its check for a flow
+// listed twice, against a flow index alone; only the newest is applied
+// to the shard flow tables.
 func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	if cfg.Journal == nil {
 		return nil, errors.New("collectorsvc: staged recovery requires a journal")
@@ -191,24 +201,31 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	s := buildServer(cfg)
 	s.recovering = true
 	st := &StagedRecovery{srv: s}
+	var newest *journalSnapshot
+	var seen flowIndex // scratch for superseded snapshots' duplicate check
 	err := cfg.Journal.Replay(func(rec *journalRecord) error {
-		switch rec.kind {
-		case jrecSnapshot:
-			if err := s.applySnapshot(rec.snap); err != nil {
-				return err
+		if rec.kind == jrecSnapshot {
+			if newest != nil {
+				if err := newest.checkFlows(&seen); err != nil {
+					return err
+				}
 			}
 			// The snapshot's cut supersedes everything staged before it.
-			st.staged = st.staged[:0]
-		case jrecReport:
-			st.staged = append(st.staged, stagedRecord{
-				clientID: rec.clientID, seq: rec.seq,
-				ev: recordToEvent(rec.ev), hop: rec.hop,
-			})
-		case jrecTick:
-			st.staged = append(st.staged, stagedRecord{clientID: rec.clientID, seq: rec.seq, tick: true})
+			newest = rec.snap
+			st.ranges, st.staged = st.ranges[:0], 0
+			return nil
 		}
+		st.staged++
+		if k := len(st.ranges) - 1; k >= 0 && st.ranges[k].segNo == rec.segNo {
+			st.ranges[k].end = rec.end
+			return nil
+		}
+		st.ranges = append(st.ranges, stagedRange{seg: rec.seg, segNo: rec.segNo, off: rec.off, end: rec.end})
 		return nil
 	})
+	if err == nil && newest != nil {
+		err = s.applySnapshot(newest)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +239,7 @@ func (st *StagedRecovery) Server() *Server { return st.srv }
 
 // Staged returns the number of records parked for Commit — the size of
 // this recovery's cross-node dedup window.
-func (st *StagedRecovery) Staged() int { return len(st.staged) }
+func (st *StagedRecovery) Staged() int { return st.staged }
 
 // Commit finishes the recovery. Every staged record either commits —
 // accounted, counted, and delivered single-threaded in journal order
@@ -236,32 +253,61 @@ func (st *StagedRecovery) Staged() int { return len(st.staged) }
 // sequence numbers are beyond it. discard may be nil (no peers — the
 // single-node path commits everything). Workers start and the server
 // leaves the recovering health state before returning.
+//
+// Delivery is batched per shard as the live shard worker batches it:
+// reports queue per shard for DeliverFlowBatch, and every shard is
+// flushed before a tick reaches the controllers, so each shard sees the
+// journal's order and every admission decision is unchanged.
 func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Server, RecoveryStats, error) {
 	s := st.srv
-	for i := range st.staged {
-		rec := &st.staged[i]
-		if discard != nil && discard(rec.clientID, rec.seq) {
-			s.crossDupes.Add(1)
-			continue
+	batches := make([][]dataplane.FlowDelivery, len(s.shards))
+	flush := func(i int) {
+		if len(batches[i]) > 0 {
+			s.shards[i].ctrl.DeliverFlowBatch(batches[i])
+			batches[i] = batches[i][:0]
 		}
-		cs := s.clientState(rec.clientID)
-		if !cs.account(rec.seq) {
-			// Records are only appended for newly accounted frames, so a
-			// replayed duplicate means the journal and the snapshot
-			// disagree — refuse rather than double-count.
-			return nil, RecoveryStats{}, fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
-		}
-		if rec.tick {
-			s.ticks.Add(1)
-			for _, sh := range s.shards {
-				sh.ctrl.Tick()
-			}
-			continue
-		}
-		s.ingested.Add(1)
-		s.shardFor(rec.ev.Flow).deliver(rec.ev, rec.hop)
 	}
-	st.staged = nil
+	var rec journalRecord
+	for _, r := range st.ranges {
+		for buf := r.seg[r.off:r.end]; len(buf) > 0; {
+			var payload []byte
+			payload, buf = nextPayload(buf)
+			if err := decodeJournalPayload(payload, &rec); err != nil {
+				return nil, RecoveryStats{}, fmt.Errorf("%w: staged record: %w", ErrJournalCorrupt, err)
+			}
+			if discard != nil && discard(rec.clientID, rec.seq) {
+				s.crossDupes.Add(1)
+				continue
+			}
+			cs := s.clientState(rec.clientID)
+			if !cs.account(rec.seq) {
+				// Records are only appended for newly accounted frames, so a
+				// replayed duplicate means the journal and the snapshot
+				// disagree — refuse rather than double-count.
+				return nil, RecoveryStats{}, fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
+			}
+			if rec.kind == jrecTick {
+				s.ticks.Add(1)
+				for i, sh := range s.shards {
+					flush(i)
+					sh.ctrl.Tick()
+				}
+				continue
+			}
+			s.ingested.Add(1)
+			i := s.shardIndex(rec.ev.Flow)
+			batches[i] = append(batches[i], dataplane.FlowDelivery{
+				Ev: recordToEvent(rec.ev), W: s.shards[i].window(rec.ev.Flow), Hop: rec.hop,
+			})
+			if len(batches[i]) == shardDrainBatch {
+				flush(i)
+			}
+		}
+	}
+	for i := range batches {
+		flush(i)
+	}
+	st.ranges = nil
 	jst := s.journal.Stats()
 	s.recoveryReport = RecoveryStats{
 		Records:        jst.RecoveredRecords,
@@ -355,12 +401,34 @@ func (s *Server) applySnapshot(snap *journalSnapshot) error {
 		sh.flows.reset()
 		sh.evictions.Store(0)
 	}
-	for _, fe := range snap.Flows {
-		sh := s.shardFor(fe.Flow)
-		if sh.flows.find(fe.Flow) >= 0 {
-			return fmt.Errorf("%w: snapshot lists flow %d twice", ErrJournalCorrupt, fe.Flow)
+	var buf [8]dataplane.DedupEntry // a window's capacity: decoding a window a rotation wrote never allocates
+	return snap.eachFlow(func(flow uint32, window []byte) error {
+		sh := s.shardFor(flow)
+		if sh.flows.find(flow) >= 0 {
+			return errDuplicateFlow(flow)
 		}
-		sh.flows.add(fe.Flow).Restore(fe.Entries)
-	}
-	return nil
+		sh.flows.add(flow).Restore(appendDedupEntries(buf[:0], window))
+		return nil
+	})
+}
+
+// checkFlows refuses, with ErrJournalCorrupt, a snapshot that lists a
+// flow twice — applySnapshot's check, for a snapshot a later one
+// supersedes. seen is scratch, emptied first: a flow index without
+// pages or windows.
+func (snap *journalSnapshot) checkFlows(seen *flowIndex) error {
+	seen.reset()
+	return snap.eachFlow(func(flow uint32, _ []byte) error {
+		if seen.find(flow) >= 0 {
+			return errDuplicateFlow(flow)
+		}
+		seen.add(flow)
+		return nil
+	})
+}
+
+// errDuplicateFlow reports a snapshot that lists flow twice, which no
+// rotation writes.
+func errDuplicateFlow(flow uint32) error {
+	return fmt.Errorf("%w: snapshot lists flow %d twice", ErrJournalCorrupt, flow)
 }

@@ -150,13 +150,13 @@ func TestRecoveryAcrossFlowTableResets(t *testing.T) {
 	if len(snapRec) != cap(snapRec) {
 		t.Errorf("snapshot record is %d bytes in a %d-byte buffer", len(snapRec), cap(snapRec))
 	}
-	decoded, err := decodeJournalPayload(snapRec[journalRecHeader:])
-	if err != nil {
+	var decoded journalRecord
+	if err := decodeJournalPayload(snapRec[journalRecHeader:], &decoded); err != nil {
 		t.Fatal(err)
 	}
 	encoded := make(map[uint32][]dataplane.DedupEntry)
-	for _, fe := range decoded.snap.Flows {
-		encoded[fe.Flow] = fe.Entries
+	for _, f := range snapshotFlows(decoded.snap) {
+		encoded[f.flow] = f.entries
 	}
 	if want := flowWindows(srv); !reflect.DeepEqual(encoded, want) {
 		t.Errorf("snapshot lists windows %v, the tables hold %v", encoded, want)
@@ -203,11 +203,11 @@ func TestRecoveryAcrossFlowTableResets(t *testing.T) {
 // recovery must refuse it rather than keep either window.
 func TestRecoveryRefusesDuplicateSnapshotFlow(t *testing.T) {
 	dir := t.TempDir()
-	snap := &journalSnapshot{Flows: []flowWindowEntry{
-		{Flow: 7, Entries: []dataplane.DedupEntry{{Reporter: 1, Hop: 2}}},
-		{Flow: 8},
-		{Flow: 7},
-	}}
+	snap := withFlows(&journalSnapshot{},
+		testFlow{flow: 7, entries: []dataplane.DedupEntry{{Reporter: 1, Hop: 2}}},
+		testFlow{flow: 8},
+		testFlow{flow: 7},
+	)
 	seg := appendJournalRecord(nil, encodeSnapshot(nil, snap))
 	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
@@ -236,12 +236,15 @@ func TestRecoveryReadsSortedFlowJournal(t *testing.T) {
 	}
 	recs := replayAll(t, jh)
 	jh.Close()
-	head := recs[0].snap
-	if head == nil || len(head.Flows) < 2 {
+	if recs[0].snap == nil {
+		t.Fatal("fixture does not start with a snapshot")
+	}
+	head := snapshotFlows(recs[0].snap)
+	if len(head) < 2 {
 		t.Fatal("fixture's head snapshot lists fewer than two flows")
 	}
-	for i := 1; i < len(head.Flows); i++ {
-		if head.Flows[i-1].Flow >= head.Flows[i].Flow {
+	for i := 1; i < len(head); i++ {
+		if head[i-1].flow >= head[i].flow {
 			t.Fatalf("fixture's head snapshot is not in ascending flow order at %d", i)
 		}
 	}

@@ -506,33 +506,40 @@ type flowSlot struct {
 	w    dataplane.DedupWindow
 }
 
-// flowTable is a shard's dense per-flow dedup state: an open-addressed
-// index from flow to slot number over fixed-size pages of slots, filled
-// in first-seen order. Neither the index nor a page holds a pointer, so
+// flowTable is a shard's dense per-flow dedup state: a flowIndex from
+// flow to slot number over fixed-size pages of slots, filled in
+// first-seen order. Neither the index nor a page holds a pointer, so
 // the garbage collector scans one small page list instead of a window
 // per flow.
 //
-// The index is two parallel arrays, cells[i] the flow and slots[i] its
-// slot number plus one (0 marks an empty cell), probed linearly from
-// the high bits of a mixed flow ID and kept at most 3/4 full. It
-// grows by doubling while a shard fills its first MaxFlows flows and is
-// only cleared at later resets, so it never grows again. Pages are not
-// reused: a reset drops them and later flows land on fresh ones, which
-// keeps every *DedupWindow handed out stable for as long as it is held
-// and lets the old pages be collected.
+// The index grows by doubling while a shard fills its first MaxFlows
+// flows and is only cleared at later resets, so it never grows again.
+// Pages are not reused: a reset drops them and later flows land on
+// fresh ones, which keeps every *DedupWindow handed out stable for as
+// long as it is held and lets the old pages be collected.
 type flowTable struct {
+	flowIndex
+	pages []*[flowPageSlots]flowSlot
+}
+
+// flowIndex maps flows to slot numbers, handed out in insertion order.
+// It is two parallel arrays, cells[i] the flow and slots[i] its slot
+// number plus one (0 marks an empty cell), probed linearly from the
+// high bits of a mixed flow ID and kept at most 3/4 full. A flowTable
+// keeps its windows on pages beside one; recovery checks a superseded
+// snapshot for a flow listed twice against an index alone.
+type flowIndex struct {
 	cells []uint32
 	slots []int32
 	shift uint8 // 32 - log2(len(cells))
 	n     int32
-	pages []*[flowPageSlots]flowSlot
 }
 
 // flowIndexMin is the cell count of a flow index's first allocation.
 const flowIndexMin = 64
 
-// len returns the number of flows in the table.
-func (t *flowTable) len() int { return int(t.n) }
+// len returns the number of flows in the index.
+func (x *flowIndex) len() int { return int(x.n) }
 
 // slot returns slot i.
 func (t *flowTable) slot(i int32) *flowSlot {
@@ -545,38 +552,45 @@ func (t *flowTable) slot(i int32) *flowSlot {
 // mixer rather than one multiply, because flow IDs are packed fields
 // (epoch, source, journey in the scenarios) that a Fibonacci multiply
 // clusters; Mix32 spreads them like random keys.
-func (t *flowTable) home(flow uint32) int {
-	return int(xhash.Mix32(flow) >> t.shift)
+func (x *flowIndex) home(flow uint32) int {
+	return int(xhash.Mix32(flow) >> x.shift)
 }
 
-// find returns flow's slot number, or -1 if the table does not hold it.
+// find returns flow's slot number, or -1 if the index does not hold it.
 //
 //unroller:hotpath
-func (t *flowTable) find(flow uint32) int32 {
-	if t.n == 0 {
+func (x *flowIndex) find(flow uint32) int32 {
+	if x.n == 0 {
 		return -1
 	}
-	mask := len(t.cells) - 1
-	for c := t.home(flow); ; c = (c + 1) & mask {
-		s := t.slots[c]
+	mask := len(x.cells) - 1
+	for c := x.home(flow); ; c = (c + 1) & mask {
+		s := x.slots[c]
 		if s == 0 {
 			return -1
 		}
-		if t.cells[c] == flow {
+		if x.cells[c] == flow {
 			return s - 1
 		}
 	}
 }
 
+// add indexes a flow the index does not hold under the next slot
+// number, which it returns.
+func (x *flowIndex) add(flow uint32) int32 {
+	if 4*(int(x.n)+1) > 3*len(x.cells) {
+		x.grow()
+	}
+	i := x.n
+	x.insert(flow, i+1)
+	x.n++
+	return i
+}
+
 // add appends a slot for a flow the table does not hold and returns its
 // (empty) window.
 func (t *flowTable) add(flow uint32) *dataplane.DedupWindow {
-	if 4*(int(t.n)+1) > 3*len(t.cells) {
-		t.grow()
-	}
-	i := t.n
-	t.insert(flow, i+1)
-	t.n++
+	i := t.flowIndex.add(flow)
 	if int(i) == len(t.pages)*flowPageSlots {
 		t.pages = append(t.pages, new([flowPageSlots]flowSlot))
 	}
@@ -587,37 +601,43 @@ func (t *flowTable) add(flow uint32) *dataplane.DedupWindow {
 
 // insert puts flow with slot value s (slot number plus one) into the
 // first empty cell of its probe sequence.
-func (t *flowTable) insert(flow uint32, s int32) {
-	mask := len(t.cells) - 1
-	c := t.home(flow)
-	for t.slots[c] != 0 {
+func (x *flowIndex) insert(flow uint32, s int32) {
+	mask := len(x.cells) - 1
+	c := x.home(flow)
+	for x.slots[c] != 0 {
 		c = (c + 1) & mask
 	}
-	t.cells[c], t.slots[c] = flow, s
+	x.cells[c], x.slots[c] = flow, s
 }
 
 // grow doubles the index (or allocates its first flowIndexMin cells)
 // and reinserts every flow.
-func (t *flowTable) grow() {
-	cells, slots := t.cells, t.slots
+func (x *flowIndex) grow() {
+	cells, slots := x.cells, x.slots
 	n := max(2*len(cells), flowIndexMin)
-	t.cells, t.slots = make([]uint32, n), make([]int32, n)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+	x.cells, x.slots = make([]uint32, n), make([]int32, n)
+	x.shift = uint8(32 - bits.TrailingZeros(uint(n)))
 	for c, s := range slots {
 		if s != 0 {
-			t.insert(cells[c], s)
+			x.insert(cells[c], s)
 		}
 	}
 }
 
-// reset empties the table in place: the index keeps its size and is
-// cleared (a cell is empty by its slot value alone, so the flows need
-// no clearing), and the pages are dropped for fresh ones.
+// reset empties the index in place: it keeps its size and is cleared (a
+// cell is empty by its slot value alone, so the flows need no
+// clearing).
+func (x *flowIndex) reset() {
+	clear(x.slots)
+	x.n = 0
+}
+
+// reset empties the table in place: the index is cleared and the pages
+// are dropped for fresh ones.
 func (t *flowTable) reset() {
-	clear(t.slots)
+	t.flowIndex.reset()
 	clear(t.pages)
 	t.pages = t.pages[:0]
-	t.n = 0
 }
 
 // each calls fn for every slot in first-seen order.
@@ -629,14 +649,6 @@ func (t *flowTable) each(fn func(*flowSlot)) {
 		}
 		n -= flowPageSlots
 	}
-}
-
-// deliver runs one report through the per-flow dedup path into the
-// controller — called directly (and single-threaded) by journal replay
-// so recovery is worker-count invariant: replay resolves windows and
-// delivers in exactly the order the live batched worker would.
-func (sh *shard) deliver(ev dataplane.LoopEvent, hop int) {
-	sh.ctrl.DeliverFlow(ev, sh.window(ev.Flow), hop)
 }
 
 // NewServer returns an idle server; call Serve or Start to run it.
