@@ -23,8 +23,9 @@
 #   make bench   full benchmark run with allocation stats
 #   make ci      the full gate (ci.sh): build, a test file in every main
 #                package, vet, unroller-vet, race tests, oracle gate,
-#                fuzz smoke, perfbench (its own module: vet, tests and a
-#                1 s run of each workload), bench smoke
+#                fuzz smoke, perfbench (its own module: vet, tests, a
+#                1 s run of each workload and one 6 s traced run), bench
+#                smoke
 
 GO ?= go
 

@@ -75,7 +75,12 @@
 #                 it in place, then run each workload (fwd-fattree32,
 #                 churn-microloop, ingest-journal) for 1 s through
 #                 perfbench/run.sh; its last line must report
-#                 "correct":true
+#                 "correct":true. Then one 6 s traced run
+#                 (`--trace 1`), which makes the three traced passes
+#                 (ingest-journal, fwd-fattree32, churn-microloop) and
+#                 fails a pass whose layer spans cover less of its
+#                 timed region than the workload's margin; it must
+#                 exit 0 and report "correct":true
 #   bench smoke   100 ms of the traffic-engine (workers swept up to
 #                 GOMAXPROCS) and network-send benchmarks, one
 #                 iteration each of journal append, of a snapshot
@@ -170,7 +175,7 @@ go test -run '^$' -fuzz '^FuzzJournalSegment$' -fuzztime 10s ./internal/collecto
 echo "==> fuzz smoke (internal/verify static FIB classifier vs naive reference, 10s)"
 go test -run '^$' -fuzz '^FuzzVerifyFIB$' -fuzztime 10s ./internal/verify
 
-echo "==> perfbench (own module: vet, tests, 1 s run of each workload)"
+echo "==> perfbench (own module: vet, tests, 1 s run of each workload, 6 s traced run)"
 (cd perfbench && go vet ./... && go test ./...)
 for w in fwd-fattree32 churn-microloop ingest-journal; do
 	last="$(bash perfbench/run.sh --workload "$w" --seconds 1 --trace 0 | tail -n 1)"
@@ -183,6 +188,21 @@ for w in fwd-fattree32 churn-microloop ingest-journal; do
 		;;
 	esac
 done
+traced_out="$vettool_dir/traced.out"
+if ! bash perfbench/run.sh --workload ingest-journal --seconds 6 --trace 1 >"$traced_out"; then
+	grep -E '^# (CHECK FAILED|[a-z0-9-]+: trace overhead)' "$traced_out" >&2 || true
+	echo "perfbench traced run: exited nonzero" >&2
+	exit 1
+fi
+last="$(tail -n 1 "$traced_out")"
+grep -E '^# [a-z0-9-]+: trace overhead' "$traced_out"
+case $last in
+*'"correct":true'*) ;;
+*)
+	echo "perfbench traced run: the run is not correct: $last" >&2
+	exit 1
+	;;
+esac
 
 echo "==> bench smoke (traffic engine 100ms + collector ingest 2000x, logged + gated)"
 bench_out="$vettool_dir/bench.out"

@@ -123,11 +123,6 @@ func (r *Ring) Partitions() int { return r.partitions }
 // Owner returns the node ID owning partition p ("" with no nodes).
 func (r *Ring) Owner(p int) string { return r.owners[p] }
 
-// OwnerOfFlow resolves a flow straight to its owning node ID.
-func (r *Ring) OwnerOfFlow(flow uint32) string {
-	return r.owners[PartitionOf(flow, r.partitions)]
-}
-
 // Counts returns partitions owned per node — the balance /statsz shows.
 func (r *Ring) Counts() map[string]int {
 	out := make(map[string]int)

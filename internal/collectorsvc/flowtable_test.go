@@ -118,9 +118,9 @@ func TestFlowTableMatchesMapModel(t *testing.T) {
 func probeStats(t *flowTable) (longest int, mean float64) {
 	mask := len(t.cells) - 1
 	sum := 0
-	for c, s := range t.slots {
-		if s != 0 {
-			d := (c - t.home(t.cells[c])) & mask
+	for c, cl := range t.cells {
+		if cl.slot != 0 {
+			d := (c - t.home(cl.flow)) & mask
 			longest = max(longest, d)
 			sum += d
 		}

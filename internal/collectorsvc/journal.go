@@ -4,7 +4,7 @@ package collectorsvc
 // survive a SIGKILL of the *process*, not just a kill of a connection.
 //
 // Layout: a directory of fixed-prefix segment files
-// (journal-00000001.wal, journal-00000002.wal, ...). Every record is
+// (journal-00000001.wal, journal-00000002.wal, ...). Every frame is
 //
 //	[payload len u32][crc32(payload) u32][payload]
 //
@@ -15,6 +15,16 @@ package collectorsvc
 //	jrecTick     [type u8][client u64][seq u64]
 //	jrecSnapshot [type u8][ver u8][server counters][controller baseline]
 //	             [client seq table][per-flow dedup windows]
+//	jrecBatch    [type u8][sub-record]...
+//
+// A batch is what live ingest writes: one frame per ack batch (one
+// Server.ingestBatch call), holding the batch's newly accounted reports
+// and ticks in order, each sub-record a jrecReport or jrecTick payload
+// verbatim. Sub-records carry no length or CRC of their own: each
+// delimits itself by its type byte and, for a report, its member count,
+// and the frame's one CRC covers them all. A batch holds at least one
+// sub-record; a batch of duplicates writes no frame. Standalone report
+// and tick records are the older layout, and still replay.
 //
 // A snapshot's flow section lists every flow's dedup window keyed by
 // flow, not by shard, so any shard count can recover it. A rotation
@@ -31,20 +41,23 @@ package collectorsvc
 // is what makes bounded retention safe — dropping the oldest segments
 // never orphans the records that remain.
 //
-// Torn tails: a crash can leave a half-written record at the end of the
-// last segment. Replay stops at the first record whose length prefix
+// Torn tails: a crash can leave a half-written frame at the end of the
+// last segment. Replay stops at the first frame whose length prefix
 // overruns the file or whose CRC mismatches, and Open truncates the file
-// back to the last valid boundary before appending. A tear anywhere but
-// the final segment means the journal was corrupted at rest (not by a
-// crash mid-append) and is surfaced as an error instead of silently
-// skipped.
+// back to the last valid boundary before appending. A torn batch is lost
+// whole: it is the unit the server commits and acknowledges together, so
+// nothing in it was acked. A tear anywhere but the final segment means
+// the journal was corrupted at rest (not by a crash mid-append) and is
+// surfaced as an error instead of silently skipped.
 //
 // Durability model: records are buffered in userspace and always flushed
 // to the OS before the server acknowledges a frame (Commit), so a
 // process kill — SIGKILL included — loses nothing that was acked. What
 // fsync policy buys is *machine*-crash durability: FsyncAlways syncs
 // before every ack, FsyncInterval (default) syncs on a timer, FsyncNever
-// leaves it to the OS entirely.
+// leaves it to the OS entirely. Under the first two, a new segment's
+// head snapshot and its directory entry are synced before it takes
+// appends, and so before retention unlinks the segments it supersedes.
 
 import (
 	"bufio"
@@ -52,6 +65,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -140,7 +154,15 @@ const (
 	jrecSnapshot = 1
 	jrecReport   = 2
 	jrecTick     = 3
+	jrecBatch    = 4
 )
+
+// journalReportLen is the length of a report payload without members; its
+// last two bytes are the member count.
+const journalReportLen = 1 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 2
+
+// journalTickLen is the length of a tick payload.
+const journalTickLen = 1 + 8 + 8
 
 // journalRecHeader is [len u32][crc u32].
 const journalRecHeader = 8
@@ -164,14 +186,16 @@ type JournalStats struct {
 	// LastFsyncMS is the age of the last fsync in milliseconds (-1
 	// before the first).
 	LastFsyncMS int64 `json:"last_fsync_ms"`
-	// Appends counts records written; AppendErrors counts failed writes
-	// (durability degraded, never in-process delivery).
+	// Appends counts records written: reports, ticks and snapshots, a
+	// batch frame counting as the records it holds. AppendErrors counts
+	// failed writes (durability degraded, never in-process delivery).
 	Appends      uint64 `json:"appends"`
 	AppendErrors uint64 `json:"append_errors"`
 	// Rotations counts segment rotations (each writes a snapshot).
 	Rotations uint64 `json:"rotations"`
-	// RecoveredRecords / RecoveredSnapshots count what Replay applied;
-	// TruncatedBytes is the torn tail discarded at open.
+	// RecoveredRecords / RecoveredSnapshots count what Replay applied,
+	// records counted as Appends counts them; TruncatedBytes is the torn
+	// tail discarded at open.
 	RecoveredRecords   uint64 `json:"recovered_records"`
 	RecoveredSnapshots uint64 `json:"recovered_snapshots"`
 	TruncatedBytes     int64  `json:"truncated_bytes"`
@@ -194,7 +218,10 @@ type Journal struct {
 	segs     []uint64 // live segment numbers, ascending (includes active)
 	dirty    bool     // bytes flushed to OS since the last sync
 	failed   bool     // an append or sync failed; durability degraded
-	scratch  []byte   // reusable record-encode buffer (header + payload) for batch appends
+	// batch is the open batch frame, begun with beginRecord, and batchN
+	// the sub-records in it; the buffer is reused from batch to batch.
+	batch  []byte
+	batchN int
 
 	lastSync     time.Time
 	appends      uint64
@@ -255,15 +282,22 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 			return nil, fmt.Errorf("collectorsvc: reading journal segment: %w", err)
 		}
 		valid, _ := scanRecords(data, nil)
-		if valid < len(data) {
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return nil, fmt.Errorf("collectorsvc: truncating torn journal tail: %w", err)
-			}
-			j.truncated = int64(len(data) - valid)
-		}
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("collectorsvc: reopening journal segment: %w", err)
+		}
+		if valid < len(data) {
+			// The cut is synced before anything is appended after it, so a
+			// power cut cannot bring the torn bytes back behind new records.
+			err := f.Truncate(int64(valid))
+			if err == nil && cfg.Fsync != FsyncNever {
+				err = f.Sync()
+			}
+			if err != nil {
+				f.Close()
+				return nil, fmt.Errorf("collectorsvc: truncating torn journal tail: %w", err)
+			}
+			j.truncated = int64(len(data) - valid)
 		}
 		j.f = f
 		j.bw = bufio.NewWriterSize(f, 1<<16)
@@ -334,7 +368,10 @@ func nextPayload(buf []byte) (payload, rest []byte) {
 
 // openSegmentLocked creates segment idx, writes headSnapshot (a
 // snapshot record begun with beginRecord) into it, and makes it the
-// active segment.
+// active segment. Unless the policy is FsyncNever, it then syncs the
+// segment and the directory, so the segment and its head snapshot
+// survive a power cut before any record is appended to it or any older
+// segment is removed.
 func (j *Journal) openSegmentLocked(idx uint64, headSnapshot []byte) error {
 	path := filepath.Join(j.cfg.Dir, segName(idx))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -347,11 +384,35 @@ func (j *Journal) openSegmentLocked(idx uint64, headSnapshot []byte) error {
 	j.segSize = 0
 	j.segs = append(j.segs, idx)
 	j.tail = nil
-	j.appendLocked(headSnapshot)
+	j.appendLocked(headSnapshot, 1)
 	if err := j.bw.Flush(); err != nil {
 		return fmt.Errorf("collectorsvc: writing segment snapshot: %w", err)
 	}
+	if j.cfg.Fsync == FsyncNever {
+		return nil
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("collectorsvc: syncing segment snapshot: %w", err)
+	}
+	j.lastSync = time.Now()
+	if err := syncDir(j.cfg.Dir); err != nil {
+		return fmt.Errorf("collectorsvc: syncing journal dir: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs directory dir, which makes the entries created in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // beginRecord starts a record at the end of dst: it reserves the
@@ -370,14 +431,14 @@ func sealRecord(rec []byte) {
 	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
 }
 
-// appendLocked seals and writes one record, begun with beginRecord, in a
-// single Write. Errors mark the journal failed and are counted, not
-// returned: a disk failure degrades durability but must never block
-// in-process delivery (the caller still enqueues the event; /healthz
-// turns unready).
-func (j *Journal) appendLocked(rec []byte) {
+// appendLocked seals and writes one frame, begun with beginRecord, in a
+// single Write, and counts it as recs records. Errors mark the journal
+// failed and are counted, not returned: a disk failure degrades
+// durability but must never block in-process delivery (the caller still
+// enqueues the event; /healthz turns unready).
+func (j *Journal) appendLocked(rec []byte, recs int) {
 	sealRecord(rec)
-	j.appends++
+	j.appends += uint64(recs)
 	if _, err := j.bw.Write(rec); err != nil {
 		j.appendErrs++
 		j.failed = true
@@ -387,22 +448,41 @@ func (j *Journal) appendLocked(rec []byte) {
 	j.dirty = true
 }
 
-// appendReportLocked encodes and appends one report record through the
-// journal's reusable scratch buffer — the batch-append API: the
-// server's ingest loop calls it once per new frame while holding mu
-// across the whole batch, so a batch costs zero allocations and one
-// Commit (one flush, and under FsyncAlways one fsync) covers every
-// record in it.
-func (j *Journal) appendReportLocked(clientID, seq uint64, ev LoopEventRecord, hop int) {
-	j.scratch = appendJournalReport(beginRecord(j.scratch[:0]), clientID, seq, ev, hop)
-	j.appendLocked(j.scratch)
+// batchReportLocked adds one report to the open batch frame, opening
+// one if none is — the batch-append API: the server's ingest loop calls
+// it, or batchTickLocked, once per newly accounted frame while holding
+// mu across the whole batch, and then sealBatchLocked writes the batch
+// as one frame. A batch costs zero allocations and one CRC, and one
+// Commit (one flush, and under FsyncAlways one fsync) covers it.
+func (j *Journal) batchReportLocked(clientID, seq uint64, ev LoopEventRecord, hop int) {
+	j.batch = appendJournalReport(j.openBatchLocked(), clientID, seq, ev, hop)
+	j.batchN++
 }
 
-// appendTickLocked encodes and appends one tick record through the
-// shared scratch; see appendReportLocked.
-func (j *Journal) appendTickLocked(clientID, seq uint64) {
-	j.scratch = appendJournalTick(beginRecord(j.scratch[:0]), clientID, seq)
-	j.appendLocked(j.scratch)
+// batchTickLocked adds one tick to the open batch frame; see
+// batchReportLocked.
+func (j *Journal) batchTickLocked(clientID, seq uint64) {
+	j.batch = appendJournalTick(j.openBatchLocked(), clientID, seq)
+	j.batchN++
+}
+
+// openBatchLocked returns the open batch frame, beginning one in the
+// reused buffer if none is open.
+func (j *Journal) openBatchLocked() []byte {
+	if j.batchN == 0 {
+		j.batch = append(beginRecord(j.batch[:0]), jrecBatch)
+	}
+	return j.batch
+}
+
+// sealBatchLocked writes the open batch frame, if one holds any
+// sub-record. Whoever opens a batch seals it before releasing mu and
+// before checking for rotation, so a frame never spans segments.
+func (j *Journal) sealBatchLocked() {
+	if j.batchN > 0 {
+		j.appendLocked(j.batch, j.batchN)
+		j.batchN = 0
+	}
 }
 
 // needsRotateLocked reports whether the active segment is over size.
@@ -433,11 +513,21 @@ func (j *Journal) rotateLocked(snapshot []byte) {
 	j.rotations++
 	j.dirty = false
 	// Retention: every segment starts with a snapshot, so the newest
-	// MaxSegments are always self-contained.
-	for len(j.segs) > j.cfg.MaxSegments {
-		os.Remove(filepath.Join(j.cfg.Dir, segName(j.segs[0])))
-		j.segs = j.segs[1:]
+	// MaxSegments are always self-contained. A segment that cannot be
+	// removed stays listed: the Segments gauge shows it, and the next
+	// rotation tries again.
+	excess := len(j.segs) - j.cfg.MaxSegments
+	kept := j.segs[:0]
+	for i, idx := range j.segs {
+		if i < excess {
+			err := os.Remove(filepath.Join(j.cfg.Dir, segName(idx)))
+			if err == nil || errors.Is(err, os.ErrNotExist) {
+				continue
+			}
+		}
+		kept = append(kept, idx)
 	}
+	j.segs = kept
 }
 
 // commitLocked makes everything appended so far crash-safe per policy:
@@ -506,9 +596,10 @@ func (j *Journal) syncLoop() {
 	}
 }
 
-// journalRecord is one replayed record, decoded. Only the fields of its
-// kind are set: clientID and seq for a tick, those plus hop and ev for a
-// report, snap for a snapshot.
+// journalRecord is one replayed frame, or one record of it, decoded.
+// Only the fields of its kind are set: clientID and seq for a tick,
+// those plus hop and ev for a report, snap for a snapshot, batch for a
+// batch frame.
 type journalRecord struct {
 	kind     uint8
 	clientID uint64
@@ -516,12 +607,18 @@ type journalRecord struct {
 	hop      int
 	ev       LoopEventRecord
 	snap     *journalSnapshot
-	// seg is the buffer of the segment the record was read from, segNo
+	// batch is a batch frame's sub-records, and n the records the frame
+	// holds: a batch's sub-records, else 1.
+	batch []byte
+	n     int
+	// seg is the buffer of the segment the frame was read from, segNo
 	// that segment's position in the replay (0 for the oldest), and
-	// seg[off:end] the whole record, header included.
-	seg      []byte
-	segNo    int
-	off, end int
+	// seg[off:end] the whole frame, header included. superseded marks a
+	// frame a later segment's head snapshot supersedes; see Replay.
+	seg        []byte
+	segNo      int
+	off, end   int
+	superseded bool
 }
 
 // LoopEventRecord mirrors dataplane.LoopEvent's journaled fields.
@@ -534,21 +631,28 @@ type LoopEventRecord struct {
 	Members  []uint32
 }
 
-// Replay iterates every retained segment in order, decoding each record
+// Replay iterates every retained segment in order, decoding each frame
 // and passing it to apply; it stops at the first error apply returns
-// and returns it. A record that does not decode, or a tear anywhere but
-// at the end of the last segment, returns ErrJournalCorrupt; the torn
-// tail of the final segment was already truncated at open.
+// and returns it. A batch frame is passed whole, as rec.batch, once
+// every sub-record in it has decoded. A frame or sub-record that does
+// not decode, or a tear anywhere but at the end of the last segment,
+// returns ErrJournalCorrupt; the torn tail of the final segment was
+// already truncated at open.
 //
-// Every record is decoded into the same journalRecord, so apply must
-// copy what it keeps of rec, Members included. Two things outlive the
-// call: rec.snap, decoded afresh for each snapshot, and rec.seg, a
-// segment buffer Replay never reuses or writes (rec.snap's flow section
-// points into it).
+// Every frame is decoded into the same journalRecord, so apply must
+// copy what it keeps of rec, Members included. When the last segment
+// begins with a snapshot, that snapshot supersedes every earlier
+// segment: Replay marks their frames rec.superseded and reads them in
+// pieces through one reused buffer, so their bytes, rec.snap's flow
+// section among them, are valid only until apply returns, and rec.seg
+// is nil. Otherwise three things outlive the call: rec.snap, decoded
+// afresh for each snapshot, and rec.seg and rec.batch, a segment buffer
+// Replay never reuses or writes (rec.snap's flow section points into it
+// too).
 //
-// Each segment is read once: the last from the bytes OpenJournal's
-// torn-tail scan read, unless records were appended since. The journal
-// keeps no segment bytes once Replay returns.
+// The last segment is read once: from the bytes OpenJournal's torn-tail
+// scan read, unless records were appended since. The journal keeps no
+// segment bytes once Replay returns.
 func (j *Journal) Replay(apply func(rec *journalRecord) error) error {
 	j.mu.Lock()
 	segs := append([]uint64(nil), j.segs...)
@@ -558,28 +662,51 @@ func (j *Journal) Replay(apply func(rec *journalRecord) error) error {
 	}
 	j.tail = nil
 	j.mu.Unlock()
-	var rec journalRecord
-	for i, idx := range segs {
-		data := tail
-		if i < len(segs)-1 || data == nil {
-			var err error
-			if data, err = os.ReadFile(filepath.Join(j.cfg.Dir, segName(idx))); err != nil {
-				return fmt.Errorf("collectorsvc: replaying journal: %w", err)
-			}
+	if len(segs) == 0 {
+		return nil
+	}
+	last := len(segs) - 1
+	if tail == nil {
+		var err error
+		if tail, err = os.ReadFile(filepath.Join(j.cfg.Dir, segName(segs[last]))); err != nil {
+			return fmt.Errorf("collectorsvc: replaying journal: %w", err)
 		}
-		rec.seg, rec.segNo = data, i
+	}
+	superseded := headIsSnapshot(tail)
+	var (
+		rec   journalRecord
+		piece []byte // the buffer superseded segments are read through
+	)
+	for i, idx := range segs {
 		var recs, snaps uint64
-		end, err := scanRecords(data, func(off int, payload []byte) error {
-			if err := decodeJournalPayload(payload, &rec); err != nil {
+		visit := func(off int, payload []byte) error {
+			if err := decodeFrame(payload, &rec); err != nil {
 				return fmt.Errorf("%w: segment %s, record at byte %d: %w", ErrJournalCorrupt, segName(idx), off, err)
 			}
 			rec.off, rec.end = off, off+journalRecHeader+len(payload)
-			recs++
+			recs += uint64(rec.n)
 			if rec.kind == jrecSnapshot {
 				snaps++
 			}
 			return apply(&rec)
-		})
+		}
+		rec.segNo, rec.superseded = i, i < last && superseded
+		var end, size int
+		var err error
+		switch {
+		case i == last:
+			rec.seg, size = tail, len(tail)
+			end, err = scanRecords(tail, visit)
+		case rec.superseded:
+			rec.seg = nil
+			end, size, piece, err = scanSegmentFile(filepath.Join(j.cfg.Dir, segName(idx)), piece, visit)
+		default:
+			if rec.seg, err = os.ReadFile(filepath.Join(j.cfg.Dir, segName(idx))); err != nil {
+				return fmt.Errorf("collectorsvc: replaying journal: %w", err)
+			}
+			size = len(rec.seg)
+			end, err = scanRecords(rec.seg, visit)
+		}
 		j.mu.Lock()
 		j.replayedRecs += recs
 		j.replayedSnap += snaps
@@ -587,12 +714,76 @@ func (j *Journal) Replay(apply func(rec *journalRecord) error) error {
 		if err != nil {
 			return err
 		}
-		if end != len(data) && i != len(segs)-1 {
-			return fmt.Errorf("%w: segment %s torn at byte %d of %d", ErrJournalCorrupt, segName(idx), end, len(data))
+		if end != size && i != last {
+			return fmt.Errorf("%w: segment %s torn at byte %d of %d", ErrJournalCorrupt, segName(idx), end, size)
 		}
 	}
 	return nil
 }
+
+// headIsSnapshot reports whether seg begins with a whole, CRC-valid
+// snapshot record.
+func headIsSnapshot(seg []byte) bool {
+	is := false
+	scanRecords(seg, func(_ int, payload []byte) error {
+		is = payload[0] == jrecSnapshot
+		return errStopScan
+	})
+	return is
+}
+
+// errStopScan ends a scanRecords walk early.
+var errStopScan = errors.New("collectorsvc: stop scan")
+
+// scanSegmentFile is scanRecords over the segment file at path, read in
+// pieces through buf rather than whole, so a payload passed to fn is
+// valid only until fn returns. It returns the offset of the first
+// invalid frame (the file's size when there is none), the file's size,
+// and buf, grown to the larger of pieceBytes and the longest frame.
+func scanSegmentFile(path string, buf []byte, fn func(off int, payload []byte) error) (end, size int, _ []byte, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, buf, fmt.Errorf("collectorsvc: replaying journal: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, buf, fmt.Errorf("collectorsvc: replaying journal: %w", err)
+	}
+	size = int(fi.Size())
+	if len(buf) < pieceBytes {
+		buf = make([]byte, pieceBytes)
+	}
+	base, n := 0, 0 // buf[:n] holds the file's bytes from offset base on
+	for {
+		m, err := io.ReadFull(f, buf[n:min(len(buf), size-base)])
+		n += m
+		if err != nil {
+			return base, size, buf, fmt.Errorf("collectorsvc: replaying journal: %w", err)
+		}
+		v, err := scanRecords(buf[:n], func(off int, payload []byte) error { return fn(base+off, payload) })
+		if err != nil || base+n == size {
+			return base + v, size, buf, err
+		}
+		// buf[v:n] begins with a frame the piece cut off, unless that
+		// frame is invalid: whole in the piece, or overrunning the file.
+		rest := buf[v:n]
+		if len(rest) >= journalRecHeader {
+			need := journalRecHeader + int(binary.BigEndian.Uint32(rest))
+			if need <= len(rest) || base+v+need > size {
+				return base + v, size, buf, nil
+			}
+			if need > len(buf) {
+				buf = make([]byte, need)
+			}
+		}
+		n = copy(buf, rest)
+		base += v
+	}
+}
+
+// pieceBytes is the size of the pieces superseded segments are read in.
+const pieceBytes = 1 << 20
 
 // Close flushes, syncs, and stops the background timer. Idempotent;
 // the journal is unusable afterwards.
@@ -826,7 +1017,7 @@ func decodeJournalPayload(p []byte, rec *journalRecord) error {
 	body := p[1:]
 	switch rec.kind {
 	case jrecReport:
-		const fixed = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 2
+		const fixed = journalReportLen - 1
 		if len(body) < fixed {
 			return fmt.Errorf("%w: report record of %d bytes, want at least %d", errBadJournalRecord, len(body), fixed)
 		}
@@ -849,8 +1040,8 @@ func decodeJournalPayload(p []byte, rec *journalRecord) error {
 			rec.ev.Members = append(rec.ev.Members, binary.BigEndian.Uint32(body[fixed+4*i:]))
 		}
 	case jrecTick:
-		if len(body) != 16 {
-			return fmt.Errorf("%w: tick record of %d bytes, want 16", errBadJournalRecord, len(body))
+		if len(body) != journalTickLen-1 {
+			return fmt.Errorf("%w: tick record of %d bytes, want %d", errBadJournalRecord, len(body), journalTickLen-1)
 		}
 		rec.clientID = binary.BigEndian.Uint64(body)
 		rec.seq = binary.BigEndian.Uint64(body[8:])
@@ -862,6 +1053,66 @@ func decodeJournalPayload(p []byte, rec *journalRecord) error {
 		rec.snap = snap
 	default:
 		return fmt.Errorf("%w: unknown record type %d", errBadJournalRecord, rec.kind)
+	}
+	return nil
+}
+
+// eachRecord decodes into rec, one at a time, the records a frame's
+// payload p (CRC already checked) carries and calls fn after each: the
+// payload itself when it is a report, tick or snapshot, or each
+// sub-record of a batch in order. Only a report or tick can be a
+// sub-record, and it decodes through decodeJournalPayload as a record
+// does; a batch without one is malformed. eachRecord stops at the first
+// error and returns it.
+func eachRecord(p []byte, rec *journalRecord, fn func() error) error {
+	if len(p) == 0 || p[0] != jrecBatch {
+		if err := decodeJournalPayload(p, rec); err != nil {
+			return err
+		}
+		return fn()
+	}
+	b := p[1:]
+	if len(b) == 0 {
+		return fmt.Errorf("%w: empty batch", errBadJournalRecord)
+	}
+	for len(b) > 0 {
+		var sub []byte
+		switch b[0] {
+		case jrecTick:
+			sub = b[:min(journalTickLen, len(b))]
+		case jrecReport:
+			n := len(b)
+			if n >= journalReportLen {
+				n = min(n, journalReportLen+4*int(binary.BigEndian.Uint16(b[journalReportLen-2:])))
+			}
+			sub = b[:n]
+		default:
+			return fmt.Errorf("%w: batch holds a record of type %d", errBadJournalRecord, b[0])
+		}
+		b = b[len(sub):]
+		if err := decodeJournalPayload(sub, rec); err != nil {
+			return err
+		}
+		if err := fn(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeFrame decodes one frame's payload (CRC already checked) into
+// rec and sets rec.n. A record decodes as decodeJournalPayload decodes
+// it; a batch is checked by decoding every sub-record, and leaves rec
+// with kind jrecBatch, its sub-records in rec.batch and their count in
+// rec.n.
+func decodeFrame(p []byte, rec *journalRecord) error {
+	n := 0
+	if err := eachRecord(p, rec, func() error { n++; return nil }); err != nil {
+		return err
+	}
+	rec.n, rec.batch = n, nil
+	if p[0] == jrecBatch {
+		rec.kind, rec.batch = jrecBatch, p[1:]
 	}
 	return nil
 }

@@ -3,12 +3,15 @@ package collectorsvc
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/unroller/unroller/internal/dataplane"
+	"github.com/unroller/unroller/internal/detect"
 )
 
 // openTestJournal opens a journal in a fresh temp dir with small
@@ -26,22 +29,39 @@ func openTestJournal(t *testing.T, cfg JournalConfig) *Journal {
 	return j
 }
 
-// appendReport appends one report record and commits it, the way the
-// server's ingest path does.
+// appendReport appends a batch of one report and commits it, the way
+// the server's ingest path does.
 func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
 	ev := LoopEventRecord{Flow: flow, Reporter: flow + 1, Hops: 3, Node: 7, Members: []uint32{1, 2, 3}}
 	j.mu.Lock()
-	j.appendReportLocked(clientID, seq, ev, hop)
+	j.batchReportLocked(clientID, seq, ev, hop)
+	j.sealBatchLocked()
 	j.commitLocked()
 	j.mu.Unlock()
 }
 
-// replayAll collects a copy of every replayed record.
+// replayAll collects a copy of every replayed record, a batch frame's
+// sub-records one by one, split by the reference's own reader.
 func replayAll(t *testing.T, j *Journal) []*journalRecord {
 	t.Helper()
 	var out []*journalRecord
 	if err := j.Replay(func(rec *journalRecord) error {
-		out = append(out, copyRecord(rec))
+		if rec.kind != jrecBatch {
+			out = append(out, copyRecord(rec))
+			return nil
+		}
+		subs, err := refSubRecords(rec.batch)
+		if err != nil {
+			return err
+		}
+		for _, p := range subs {
+			var sub journalRecord
+			if err := decodeJournalPayload(p, &sub); err != nil {
+				return err
+			}
+			sub.seg, sub.segNo, sub.off, sub.end, sub.n = rec.seg, rec.segNo, rec.off, rec.end, 1
+			out = append(out, &sub)
+		}
 		return nil
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -49,10 +69,17 @@ func replayAll(t *testing.T, j *Journal) []*journalRecord {
 	return out
 }
 
-// copyRecord copies a record out of the one Replay reuses.
+// copyRecord copies a record out of the one Replay reuses, with a
+// snapshot's flow section, which a superseded segment's reused buffer
+// does not keep.
 func copyRecord(rec *journalRecord) *journalRecord {
 	c := *rec
 	c.ev.Members = append([]uint32(nil), rec.ev.Members...)
+	if rec.snap != nil {
+		snap := *rec.snap
+		snap.flows = bytes.Clone(snap.flows)
+		c.snap = &snap
+	}
 	return &c
 }
 
@@ -89,7 +116,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	appendReport(j, 10, 1, 0xAABB, 4)
 	appendReport(j, 10, 2, 0xAABC, 5)
 	j.mu.Lock()
-	j.appendTickLocked(10, 3)
+	j.batchTickLocked(10, 3)
+	j.sealBatchLocked()
 	j.commitLocked()
 	j.mu.Unlock()
 	if err := j.Close(); err != nil {
@@ -399,11 +427,12 @@ func TestParseFsyncPolicy(t *testing.T) {
 }
 
 // FuzzJournalSegment: for arbitrary bytes, scanning a segment must not
-// panic; every record the scanner accepts must decode; decoded records
-// must re-encode to the identical payload (fixed point; a snapshot's
-// flow section is re-encoded flow by flow from its iterator); and
-// truncating the buffer anywhere must only ever shrink the valid record
-// prefix (torn-tail tolerance).
+// panic; every record the scanner accepts must decode or be refused;
+// decoded records must re-encode to the identical payload (fixed point;
+// a batch is re-encoded sub-record by sub-record, and a snapshot's flow
+// section flow by flow from its iterator); and truncating the buffer
+// anywhere must only ever shrink the valid record prefix (torn-tail
+// tolerance).
 func FuzzJournalSegment(f *testing.F) {
 	f.Add(appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot())))
 	f.Add(appendJournalRecord(nil, appendJournalTick(nil, 1, 2)))
@@ -411,6 +440,13 @@ func FuzzJournalSegment(f *testing.F) {
 	f.Add(rep)
 	f.Add(append(append([]byte(nil), rep...), rep[:7]...)) // torn tail
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	batch := appendJournalRecord(nil, testBatch(
+		appendJournalReport(nil, 3, 5, LoopEventRecord{Flow: 5, Reporter: 6, Hops: 2, Node: 1, Members: []uint32{8, 9, 10}}, 2),
+		appendJournalTick(nil, 3, 6),
+		appendJournalReport(nil, 3, 7, LoopEventRecord{Flow: 11, Reporter: 4, Hops: 3}, 0),
+	))
+	f.Add(append(append([]byte(nil), rep...), batch...))                   // a record, then a mixed batch
+	f.Add(append(append([]byte(nil), batch...), batch[:len(batch)-20]...)) // a batch, then a torn one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var payloads [][]byte
 		end, _ := scanRecords(data, func(_ int, p []byte) error {
@@ -422,23 +458,32 @@ func FuzzJournalSegment(f *testing.F) {
 		}
 		var rec journalRecord
 		for _, p := range payloads {
-			if err := decodeJournalPayload(p, &rec); err != nil {
+			var round []byte
+			if p[0] == jrecBatch {
+				round = []byte{jrecBatch}
+			}
+			err := eachRecord(p, &rec, func() error {
+				switch rec.kind {
+				case jrecReport:
+					round = appendJournalReport(round, rec.clientID, rec.seq, rec.ev, rec.hop)
+				case jrecTick:
+					round = appendJournalTick(round, rec.clientID, rec.seq)
+				case jrecSnapshot:
+					round = appendSnapshotHead(round, rec.snap, rec.snap.nFlows)
+					for _, f := range snapshotFlows(rec.snap) {
+						round = appendFlowRecord(round, f.flow, f.entries)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				if !errors.Is(err, errBadJournalRecord) {
+					t.Fatalf("decoding a CRC-valid record: %v, want a malformed-record error", err)
+				}
 				continue // CRC-valid but semantically malformed is a decode error, not a panic
 			}
-			var round []byte
-			switch rec.kind {
-			case jrecReport:
-				round = appendJournalReport(nil, rec.clientID, rec.seq, rec.ev, rec.hop)
-			case jrecTick:
-				round = appendJournalTick(nil, rec.clientID, rec.seq)
-			case jrecSnapshot:
-				round = appendSnapshotHead(nil, rec.snap, rec.snap.nFlows)
-				for _, f := range snapshotFlows(rec.snap) {
-					round = appendFlowRecord(round, f.flow, f.entries)
-				}
-			}
 			if !bytes.Equal(round, p) {
-				t.Fatalf("decode/re-encode not a fixed point for kind %d", rec.kind)
+				t.Fatalf("decode/re-encode not a fixed point for kind %d", p[0])
 			}
 		}
 		// Torn-tail property: any truncation yields a prefix of the
@@ -455,10 +500,10 @@ func FuzzJournalSegment(f *testing.F) {
 }
 
 // BenchmarkJournalAppend measures the per-record cost of the journaled
-// ack path: encode a report record, append it under the journal lock,
-// and commit (flush to the OS) — exactly what each accepted frame pays
-// before its acknowledgement when ingest is journaled with the default
-// (non-fsync-per-record) policy.
+// ack path: encode a report into the batch frame under the journal
+// lock, and per ack batch of 64 seal the frame and commit (flush to the
+// OS) — what each accepted frame pays before its acknowledgement when
+// ingest is journaled with the default (non-fsync-per-record) policy.
 func BenchmarkJournalAppend(b *testing.B) {
 	j, err := OpenJournal(JournalConfig{Dir: b.TempDir(), SegmentBytes: 1 << 30, Fsync: FsyncNever})
 	if err != nil {
@@ -468,15 +513,269 @@ func BenchmarkJournalAppend(b *testing.B) {
 	ev := LoopEventRecord{Flow: 7, Reporter: 3, Hops: 12, Node: 2, Members: []uint32{1, 2, 3, 4}}
 	b.ReportAllocs()
 	b.ResetTimer()
+	const ackBatch = 64
 	for i := 0; i < b.N; i++ {
 		j.mu.Lock()
-		j.appendReportLocked(1, uint64(i)+1, ev, 12)
-		j.commitLocked()
+		j.batchReportLocked(1, uint64(i)+1, ev, 12)
+		if i%ackBatch == ackBatch-1 || i == b.N-1 {
+			j.sealBatchLocked()
+			j.commitLocked()
+		}
 		j.mu.Unlock()
 	}
 	b.StopTimer()
-	b.SetBytes(int64(len(j.scratch)))
+	b.SetBytes(int64(len(appendJournalReport(nil, 1, 1, ev, 12))))
 	if j.Failed() {
 		b.Fatalf("journal failed during benchmark: %+v", j.Stats())
+	}
+}
+
+// testBatch returns a batch frame's payload holding subs, each a report
+// or tick payload (or anything a test wants to plant there).
+func testBatch(subs ...[]byte) []byte {
+	p := []byte{jrecBatch}
+	for _, sub := range subs {
+		p = append(p, sub...)
+	}
+	return p
+}
+
+// ingestTestBatches streams batches through a journaled one-shard
+// server's ingest path, committing after each as the connection reader
+// does. Each batch lists sequence numbers from client 1: a negative one
+// is a tick, and one already accounted is a retransmit; an even report
+// carries members.
+func ingestTestBatches(t *testing.T, srv *Server, batches ...[]int) {
+	t.Helper()
+	groups := make([][]shardItem, len(srv.shards))
+	cs := srv.clientState(1)
+	for _, seqs := range batches {
+		var batch []batchItem
+		for _, q := range seqs {
+			if q < 0 {
+				batch = append(batch, batchItem{seq: uint64(-q), tick: true})
+				continue
+			}
+			ev := dataplane.LoopEvent{Flow: uint32(q), Node: 1}
+			ev.Reporter, ev.Hops = 2, 3
+			if q%2 == 0 {
+				ev.Members = []detect.SwitchID{4, 5, detect.SwitchID(q)}
+			}
+			batch = append(batch, batchItem{seq: uint64(q), ev: ev, hop: q % 7})
+		}
+		srv.ingestBatch(cs, 1, batch, groups)
+		srv.journal.Commit()
+	}
+}
+
+// replaySeqs returns the sequence numbers of every replayed report and
+// tick, in journal order.
+func replaySeqs(t *testing.T, j *Journal) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	for _, rec := range replayAll(t, j) {
+		if rec.kind != jrecSnapshot {
+			seqs = append(seqs, rec.seq)
+		}
+	}
+	return seqs
+}
+
+// TestJournalBatchFrames: live ingest writes one frame per ack batch
+// holding its new reports and ticks, none for a batch of retransmits;
+// Appends, RecoveredRecords and Staged count reports, ticks and
+// snapshots, not frames; and a truncation anywhere inside the last
+// frame loses exactly that batch.
+func TestJournalBatchFrames(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	srv := NewServer(ServerConfig{Shards: 1, Controller: microloopController, Journal: j})
+	ingestTestBatches(t, srv, []int{1, 2, -3, 4}, []int{2, 4}, []int{5}, []int{6, -7, 8, 9})
+	srv.Shutdown()
+	if got := j.Stats().Appends; got != 1+9 {
+		t.Errorf("Appends = %d, want 10: the genesis snapshot and 9 reports and ticks", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []int // each frame's offset
+	var kinds []byte
+	scanRecords(seg, func(off int, p []byte) error {
+		frames, kinds = append(frames, off), append(kinds, p[0])
+		return nil
+	})
+	if want := []byte{jrecSnapshot, jrecBatch, jrecBatch, jrecBatch}; !bytes.Equal(kinds, want) {
+		t.Fatalf("segment holds frames of kinds %v, want %v: one batch frame per batch with a new record", kinds, want)
+	}
+
+	img := copyDir(t, dir)
+	jr := openTestJournal(t, JournalConfig{Dir: img, Fsync: FsyncNever})
+	st, err := NewStagedRecoveredServer(ServerConfig{Shards: 2, Controller: microloopController, Journal: jr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Staged() != 9 {
+		t.Errorf("Staged() = %d, want the 9 reports and ticks", st.Staged())
+	}
+	s, rs, err := st.Commit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Shutdown()
+	if rs.Records != 10 || rs.Snapshots != 1 || rs.Ingested != 7 || rs.Ticks != 2 {
+		t.Errorf("recovery stats %+v, want 10 records, 1 snapshot, 7 ingested, 2 ticks", rs)
+	}
+
+	last := frames[len(frames)-1]
+	for cut := last + 1; cut < len(seg); cut++ {
+		img := t.TempDir()
+		if err := os.WriteFile(filepath.Join(img, segName(1)), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jr := openTestJournal(t, JournalConfig{Dir: img, Fsync: FsyncNever})
+		if got := jr.Stats().TruncatedBytes; got != int64(cut-last) {
+			t.Fatalf("cut at %d: truncated %d bytes, want the %d of the torn frame", cut, got, cut-last)
+		}
+		if got, want := replaySeqs(t, jr), []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d: replayed seqs %v, want %v: the last batch lost whole, no other", cut, got, want)
+		}
+	}
+}
+
+// TestJournalBadSubRecordCorrupt: a batch frame whose CRC holds but
+// whose second sub-record does not decode is refused with
+// ErrJournalCorrupt, by recovery and by the reference alike, whether it
+// sits in a segment a later snapshot supersedes or at the tail of the
+// last segment.
+func TestJournalBadSubRecordCorrupt(t *testing.T) {
+	good := appendJournalReport(nil, 1, 1, LoopEventRecord{Flow: 9, Reporter: 2, Hops: 3, Members: []uint32{4}}, 4)
+	bad := map[string][]byte{
+		"unknown kind":        {9, 0, 0},
+		"nested snapshot":     encodeSnapshot(nil, emptySnapshot()),
+		"short tick":          appendJournalTick(nil, 1, 2)[:16],
+		"report past the end": appendJournalReport(nil, 1, 2, LoopEventRecord{Flow: 9, Members: []uint32{1, 2}}, 4)[:45],
+		"members over cap": append(appendJournalReport(nil, 1, 2, LoopEventRecord{Flow: 9}, 4)[:journalReportLen-2],
+			byte((MaxMembers+1)>>8), byte(MaxMembers+1)),
+	}
+	genesis := appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot()))
+	newest := appendJournalRecord(nil, encodeSnapshot(nil, &journalSnapshot{
+		Ingested: 2, Clients: []clientSeqEntry{{ID: 1, Spans: []SeqSpan{{First: 1, Last: 2}}}},
+	}))
+	tail := appendJournalRecord(nil, appendJournalTick(nil, 1, 3))
+	for name, sub := range bad {
+		frame := appendJournalRecord(nil, testBatch(good, sub))
+		for where, segs := range map[string][][]byte{
+			"mid-history": {append(append([]byte(nil), genesis...), frame...), append(append([]byte(nil), newest...), tail...)},
+			"at the tail": {append(append([]byte(nil), genesis...), frame...)},
+		} {
+			t.Run(name+" "+where, func(t *testing.T) {
+				dir := t.TempDir()
+				writeSegments(t, dir, segs)
+				for _, reference := range []bool{false, true} {
+					_, err := recoverImage(t, copyDir(t, dir), ServerConfig{Shards: 2, Controller: microloopController}, reference, nil)
+					if !errors.Is(err, ErrJournalCorrupt) {
+						t.Fatalf("reference=%v: recovery returned %v, want ErrJournalCorrupt", reference, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestJournalRetentionKeepsUnremovableSegment: retention that cannot
+// remove a segment keeps it listed, so the Segments gauge shows it, and
+// removes it at a later rotation once it can.
+func TestJournalRetentionKeepsUnremovableSegment(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, JournalConfig{Dir: dir, SegmentBytes: 1, MaxSegments: 2, Fsync: FsyncNever})
+	rotate := func() {
+		j.mu.Lock()
+		j.rotateLocked(encodeSnapshot(beginRecord(nil), emptySnapshot()))
+		j.mu.Unlock()
+	}
+	rotate() // segments 1 and 2
+	// Segment 1 becomes a directory os.Remove cannot delete.
+	oldest := filepath.Join(dir, segName(1))
+	if err := os.Remove(oldest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(oldest, "pinned"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rotate()
+	rotate() // segments 1 to 4: 1 and 2 are due for removal
+	if st := j.Stats(); st.Segments != 3 || j.Failed() {
+		t.Fatalf("after the failed removals: %d segments, failed %v; want the stuck one and the newest 2", st.Segments, j.Failed())
+	}
+	if _, err := os.Stat(oldest); err != nil {
+		t.Fatalf("the stuck segment is gone: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(2))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("segment 2 survived retention: %v", err)
+	}
+	if err := os.RemoveAll(filepath.Join(oldest, "pinned")); err != nil {
+		t.Fatal(err)
+	}
+	rotate()
+	if st := j.Stats(); st.Segments != 2 {
+		t.Fatalf("%d segments once the stuck one could go, want 2", st.Segments)
+	}
+	if _, err := os.Stat(oldest); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the stuck segment survived the retry: %v", err)
+	}
+}
+
+// TestScanSegmentFileMatchesScanRecords: a segment read in pieces
+// yields the frames, offsets and end that scanning it whole does —
+// frames cut by a piece boundary, a frame longer than a piece, and a
+// flipped byte, a tear or an overrunning length prefix included.
+func TestScanSegmentFileMatchesScanRecords(t *testing.T) {
+	var seg []byte
+	for i := 0; len(seg) < 3*pieceBytes; i++ {
+		ev := LoopEventRecord{Flow: uint32(i), Reporter: 1, Hops: 2, Members: make([]uint32, i%5)}
+		seg = appendJournalRecord(seg, testBatch(appendJournalReport(nil, 1, uint64(i), ev, 3), appendJournalTick(nil, 1, uint64(i))))
+		if i == 100 {
+			seg = appendJournalRecord(seg, make([]byte, pieceBytes+pieceBytes/2)) // longer than a piece
+		}
+	}
+	type frame struct {
+		off int
+		sum uint32
+	}
+	scan := func(data []byte) (int, []frame) {
+		var frames []frame
+		end, _ := scanRecords(data, func(off int, p []byte) error {
+			frames = append(frames, frame{off, crc32.ChecksumIEEE(p)})
+			return nil
+		})
+		return end, frames
+	}
+	flipped := bytes.Clone(seg)
+	flipped[2*pieceBytes+17] ^= 0x40
+	overrun := bytes.Clone(seg[:pieceBytes-3])
+	overrun = append(overrun, 0x7F, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4, 5)
+	var buf []byte
+	for name, data := range map[string][]byte{
+		"whole": seg, "flipped": flipped, "torn": seg[:len(seg)-5], "overrun": overrun, "empty": nil,
+	} {
+		path := filepath.Join(t.TempDir(), segName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got []frame
+		end, size, b, err := scanSegmentFile(path, buf, func(off int, p []byte) error {
+			got = append(got, frame{off, crc32.ChecksumIEEE(p)})
+			return nil
+		})
+		buf = b
+		wantEnd, want := scan(data)
+		if err != nil || end != wantEnd || size != len(data) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d frames to byte %d of %d (%v), scanning whole %d frames to byte %d of %d",
+				name, len(got), end, size, err, len(want), wantEnd, len(data))
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"github.com/unroller/unroller/internal/dataplane"
 	"github.com/unroller/unroller/internal/detect"
+	"github.com/unroller/unroller/internal/xhash"
 )
 
 // eventToRecord converts a live event to its journal representation.
@@ -154,7 +155,7 @@ func (s *Server) captureSnapshotLocked() *journalSnapshot {
 	return snap
 }
 
-// stagedRange is a run of whole journal records parked between replay
+// stagedRange is a run of whole journal frames parked between replay
 // and commit: seg[off:end] of the buffer of segment segNo of the replay
 // (see journalRecord). Replay has checked every record in it.
 type stagedRange struct {
@@ -178,7 +179,8 @@ type stagedRange struct {
 // sizing rule this implies).
 //
 // Staged records stay in the segment buffers Replay read, as about one
-// byte range per segment, and are decoded once, by Commit.
+// byte range of whole frames per segment, and are decoded once more, by
+// Commit, which walks each batch frame sub-record by sub-record.
 type StagedRecovery struct {
 	srv    *Server
 	ranges []stagedRange
@@ -192,8 +194,8 @@ type StagedRecovery struct {
 // Replay decodes, and so checks, every record, but only the state that
 // survives is built. A snapshot supersedes everything before it, so
 // when a newer one arrives the older gets only its check for a flow
-// listed twice, against a flow index alone; only the newest is applied
-// to the shard flow tables.
+// listed twice (see checkFlows). Only the newest is applied to the
+// shard flow tables, once the staged count that sizes them is known.
 func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	if cfg.Journal == nil {
 		return nil, errors.New("collectorsvc: staged recovery requires a journal")
@@ -202,11 +204,19 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	s.recovering = true
 	st := &StagedRecovery{srv: s}
 	var newest *journalSnapshot
-	var seen flowIndex // scratch for superseded snapshots' duplicate check
+	var scratch []uint32 // for superseded snapshots' duplicate check
 	err := cfg.Journal.Replay(func(rec *journalRecord) error {
+		if rec.superseded {
+			// Its bytes do not outlive this call, and a later snapshot
+			// supersedes it: check it now, keep nothing.
+			if rec.kind == jrecSnapshot {
+				return rec.snap.checkFlows(&scratch)
+			}
+			return nil
+		}
 		if rec.kind == jrecSnapshot {
 			if newest != nil {
-				if err := newest.checkFlows(&seen); err != nil {
+				if err := newest.checkFlows(&scratch); err != nil {
 					return err
 				}
 			}
@@ -215,7 +225,7 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 			st.ranges, st.staged = st.ranges[:0], 0
 			return nil
 		}
-		st.staged++
+		st.staged += rec.n
 		if k := len(st.ranges) - 1; k >= 0 && st.ranges[k].segNo == rec.segNo {
 			st.ranges[k].end = rec.end
 			return nil
@@ -224,7 +234,7 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 		return nil
 	})
 	if err == nil && newest != nil {
-		err = s.applySnapshot(newest)
+		err = s.applySnapshot(newest, st.staged)
 	}
 	if err != nil {
 		return nil, err
@@ -237,8 +247,8 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 // before Commit returns.
 func (st *StagedRecovery) Server() *Server { return st.srv }
 
-// Staged returns the number of records parked for Commit — the size of
-// this recovery's cross-node dedup window.
+// Staged returns the number of reports and ticks parked for Commit —
+// the size of this recovery's cross-node dedup window.
 func (st *StagedRecovery) Staged() int { return st.staged }
 
 // Commit finishes the recovery. Every staged record either commits —
@@ -268,39 +278,45 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 		}
 	}
 	var rec journalRecord
+	deliver := func() error {
+		if discard != nil && discard(rec.clientID, rec.seq) {
+			s.crossDupes.Add(1)
+			return nil
+		}
+		cs := s.clientState(rec.clientID)
+		if !cs.account(rec.seq) {
+			// Records are only appended for newly accounted frames, so a
+			// replayed duplicate means the journal and the snapshot
+			// disagree — refuse rather than double-count.
+			return fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
+		}
+		if rec.kind == jrecTick {
+			s.ticks.Add(1)
+			for i, sh := range s.shards {
+				flush(i)
+				sh.ctrl.Tick()
+			}
+			return nil
+		}
+		s.ingested.Add(1)
+		i := s.shardIndex(rec.ev.Flow)
+		batches[i] = append(batches[i], dataplane.FlowDelivery{
+			Ev: recordToEvent(rec.ev), W: s.shards[i].window(rec.ev.Flow), Hop: rec.hop,
+		})
+		if len(batches[i]) == shardDrainBatch {
+			flush(i)
+		}
+		return nil
+	}
 	for _, r := range st.ranges {
 		for buf := r.seg[r.off:r.end]; len(buf) > 0; {
 			var payload []byte
 			payload, buf = nextPayload(buf)
-			if err := decodeJournalPayload(payload, &rec); err != nil {
-				return nil, RecoveryStats{}, fmt.Errorf("%w: staged record: %w", ErrJournalCorrupt, err)
-			}
-			if discard != nil && discard(rec.clientID, rec.seq) {
-				s.crossDupes.Add(1)
-				continue
-			}
-			cs := s.clientState(rec.clientID)
-			if !cs.account(rec.seq) {
-				// Records are only appended for newly accounted frames, so a
-				// replayed duplicate means the journal and the snapshot
-				// disagree — refuse rather than double-count.
-				return nil, RecoveryStats{}, fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
-			}
-			if rec.kind == jrecTick {
-				s.ticks.Add(1)
-				for i, sh := range s.shards {
-					flush(i)
-					sh.ctrl.Tick()
+			if err := eachRecord(payload, &rec, deliver); err != nil {
+				if errors.Is(err, errBadJournalRecord) {
+					err = fmt.Errorf("%w: staged record: %w", ErrJournalCorrupt, err)
 				}
-				continue
-			}
-			s.ingested.Add(1)
-			i := s.shardIndex(rec.ev.Flow)
-			batches[i] = append(batches[i], dataplane.FlowDelivery{
-				Ev: recordToEvent(rec.ev), W: s.shards[i].window(rec.ev.Flow), Hop: rec.hop,
-			})
-			if len(batches[i]) == shardDrainBatch {
-				flush(i)
+				return nil, RecoveryStats{}, err
 			}
 		}
 	}
@@ -371,7 +387,12 @@ func (s *Server) ForceRotate() {
 // shard controllers restart fresh and the snapshot's aggregate totals
 // become the baseline. A snapshot that lists a flow twice is refused
 // with ErrJournalCorrupt: no rotation writes one.
-func (s *Server) applySnapshot(snap *journalSnapshot) error {
+//
+// staged is the number of records to be committed after the snapshot.
+// Each shard's flow index is sized once for the snapshot's flows in that
+// shard plus one new flow per staged record, capped at MaxFlows, so
+// neither the snapshot nor the commit grows it.
+func (s *Server) applySnapshot(snap *journalSnapshot, staged int) error {
 	s.conns64.Store(snap.Conns)
 	s.frames.Store(snap.Frames)
 	s.badFrames.Store(snap.BadFrames)
@@ -396,9 +417,18 @@ func (s *Server) applySnapshot(snap *journalSnapshot) error {
 		cs.restoreSpans(c.Spans)
 		s.clients[c.ID] = cs
 	}
-	for _, sh := range s.shards {
+	perShard := make([]int, len(s.shards))
+	snap.eachFlow(func(flow uint32, _ []byte) error {
+		perShard[s.shardIndex(flow)]++
+		return nil
+	})
+	for i, sh := range s.shards {
 		sh.ctrl = dataplane.NewControllerWithConfig(s.cfg.Controller)
-		sh.flows.reset()
+		n := perShard[i] + staged
+		if n > s.cfg.MaxFlows {
+			n = max(s.cfg.MaxFlows, perShard[i])
+		}
+		sh.flows.resetFor(n)
 		sh.evictions.Store(0)
 	}
 	var buf [8]dataplane.DedupEntry // a window's capacity: decoding a window a rotation wrote never allocates
@@ -414,17 +444,72 @@ func (s *Server) applySnapshot(snap *journalSnapshot) error {
 
 // checkFlows refuses, with ErrJournalCorrupt, a snapshot that lists a
 // flow twice — applySnapshot's check, for a snapshot a later one
-// supersedes. seen is scratch, emptied first: a flow index without
-// pages or windows.
-func (snap *journalSnapshot) checkFlows(seen *flowIndex) error {
-	seen.reset()
-	return snap.eachFlow(func(flow uint32, _ []byte) error {
-		if seen.find(flow) >= 0 {
-			return errDuplicateFlow(flow)
-		}
-		seen.add(flow)
+// supersedes, which builds no flow table. It deals the flows' Mix32
+// hashes (a bijection: equal hashes are equal flows) into 256 buckets by
+// their top byte, then looks for a repeat in each bucket through one
+// small table that stays in cache, where an index sized for the whole
+// snapshot would miss the cache on nearly every probe. scratch is
+// reused from snapshot to snapshot and sized once, from the flow count
+// and the widest bucket.
+func (snap *journalSnapshot) checkFlows(scratch *[]uint32) error {
+	var at [257]int // bucket d is hashes[at[d]:at[d+1]]
+	snap.eachFlow(func(flow uint32, _ []byte) error {
+		at[xhash.Mix32(flow)>>24+1]++
 		return nil
 	})
+	widest := 0
+	for d := 1; d < len(at); d++ {
+		widest = max(widest, at[d])
+		at[d] += at[d-1]
+	}
+	size := 16 // table cells, a power of two at most 3/4 full
+	for 3*size < 4*widest {
+		size *= 2
+	}
+	n := snap.nFlows
+	if cap(*scratch) < n+2*size {
+		*scratch = make([]uint32, n+2*size)
+	}
+	buf := (*scratch)[:n+2*size]
+	hashes, cells, used := buf[:n], buf[n:n+size], buf[n+size:]
+	next := at
+	snap.eachFlow(func(flow uint32, _ []byte) error {
+		h := xhash.Mix32(flow)
+		hashes[next[h>>24]] = h
+		next[h>>24]++
+		return nil
+	})
+	mask := uint32(size - 1)
+	for d := range 256 {
+		bucket := hashes[at[d]:at[d+1]]
+		if len(bucket) == 0 {
+			continue
+		}
+		clear(used)
+		for _, h := range bucket {
+			c := h & mask
+			for ; used[c] != 0; c = (c + 1) & mask {
+				if cells[c] == h {
+					return snap.errDuplicateHash(h)
+				}
+			}
+			used[c], cells[c] = 1, h
+		}
+	}
+	return nil
+}
+
+// errDuplicateHash returns errDuplicateFlow for the flow whose Mix32 is
+// h.
+func (snap *journalSnapshot) errDuplicateHash(h uint32) error {
+	var dup error
+	snap.eachFlow(func(flow uint32, _ []byte) error {
+		if xhash.Mix32(flow) == h {
+			dup = errDuplicateFlow(flow)
+		}
+		return dup
+	})
+	return dup
 }
 
 // errDuplicateFlow reports a snapshot that lists flow twice, which no

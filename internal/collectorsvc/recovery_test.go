@@ -313,3 +313,45 @@ func BenchmarkSnapshotRotate(b *testing.B) {
 		b.Fatalf("journal failed during benchmark: %+v", j.Stats())
 	}
 }
+
+// TestRecoverySizesFlowIndexOnce: applySnapshot sizes each shard's flow
+// index for the snapshot's flows plus the staged records, so Commit,
+// which adds the staged records' new flows, never grows it.
+func TestRecoverySizesFlowIndexOnce(t *testing.T) {
+	dir := t.TempDir()
+	j := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	srv := NewServer(ServerConfig{Shards: 2, MaxFlows: 1000, Controller: microloopController, Journal: j})
+	seqs := func(first, last int) []int {
+		var s []int
+		for q := first; q <= last; q++ {
+			s = append(s, q)
+		}
+		return s
+	}
+	ingestTestBatches(t, srv, seqs(1, 300))
+	srv.ForceRotate()
+	ingestTestBatches(t, srv, seqs(301, 500))
+	srv.Shutdown()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jr := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	st, err := NewStagedRecoveredServer(ServerConfig{Shards: 2, MaxFlows: 1000, Controller: microloopController, Journal: jr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sized []int
+	for _, sh := range st.Server().shards {
+		sized = append(sized, len(sh.flows.cells))
+	}
+	s, _, err := st.Commit(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Shutdown()
+	for i, sh := range s.shards {
+		if n := sh.flows.len(); n < 200 || len(sh.flows.cells) != sized[i] {
+			t.Errorf("shard %d: %d flows; index of %d cells after the snapshot, %d after Commit", i, n, sized[i], len(sh.flows.cells))
+		}
+	}
+}

@@ -38,13 +38,8 @@ func referenceStage(cfg ServerConfig) (*refRecovery, error) {
 	s := buildServer(cfg)
 	s.recovering = true
 	st := &refRecovery{srv: s}
-	err := cfg.Journal.Replay(func(rec *journalRecord) error {
+	stage := func(rec *journalRecord) {
 		switch rec.kind {
-		case jrecSnapshot:
-			if err := s.applySnapshot(rec.snap); err != nil {
-				return err
-			}
-			st.staged = st.staged[:0]
 		case jrecReport:
 			st.staged = append(st.staged, refStaged{
 				clientID: rec.clientID, seq: rec.seq,
@@ -53,12 +48,68 @@ func referenceStage(cfg ServerConfig) (*refRecovery, error) {
 		case jrecTick:
 			st.staged = append(st.staged, refStaged{clientID: rec.clientID, seq: rec.seq, tick: true})
 		}
+	}
+	err := cfg.Journal.Replay(func(rec *journalRecord) error {
+		switch rec.kind {
+		case jrecSnapshot:
+			if err := s.applySnapshot(rec.snap, 0); err != nil {
+				return err
+			}
+			st.staged = st.staged[:0]
+		case jrecBatch:
+			subs, err := refSubRecords(rec.batch)
+			if err != nil {
+				return err
+			}
+			for _, p := range subs {
+				var sub journalRecord
+				if err := decodeJournalPayload(p, &sub); err != nil {
+					return fmt.Errorf("%w: %w", ErrJournalCorrupt, err)
+				}
+				stage(&sub)
+			}
+		default:
+			stage(rec)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// refSubRecords is the reference's reading of a batch frame: it splits
+// the sub-records, each a report or tick payload, by their kinds and
+// member counts, and refuses a batch that holds none, a record of
+// another kind or a last sub-record that does not fit, with
+// ErrJournalCorrupt. The payloads it returns are left to
+// decodeJournalPayload.
+func refSubRecords(b []byte) ([][]byte, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("%w: an empty batch", ErrJournalCorrupt)
+	}
+	var subs [][]byte
+	for len(b) > 0 {
+		var n int
+		switch b[0] {
+		case jrecTick:
+			n = 17
+		case jrecReport:
+			if len(b) < 39 {
+				return nil, fmt.Errorf("%w: a batch ends in %d bytes of a report", ErrJournalCorrupt, len(b))
+			}
+			n = 39 + 4*(int(b[37])<<8|int(b[38]))
+		default:
+			return nil, fmt.Errorf("%w: a batch holds a record of type %d", ErrJournalCorrupt, b[0])
+		}
+		if n > len(b) {
+			return nil, fmt.Errorf("%w: a batch ends in %d bytes of a %d-byte record", ErrJournalCorrupt, len(b), n)
+		}
+		subs = append(subs, b[:n])
+		b = b[n:]
+	}
+	return subs, nil
 }
 
 // commit is the reference's StagedRecovery.Commit.
@@ -420,7 +471,8 @@ func TestRecoveryRefusesCorruptSupersededHistory(t *testing.T) {
 }
 
 // writeFlatJournal writes a one-segment journal of n reports from one
-// client, spread over 64 flows and 5 reporters, with no members.
+// client, spread over 64 flows and 5 reporters, with no members, in
+// batch frames of 256.
 func writeFlatJournal(t *testing.T, dir string, n int) {
 	t.Helper()
 	j, err := OpenJournal(JournalConfig{Dir: dir, SegmentBytes: 1 << 30, Fsync: FsyncNever})
@@ -429,8 +481,12 @@ func writeFlatJournal(t *testing.T, dir string, n int) {
 	}
 	j.mu.Lock()
 	for i := 0; i < n; i++ {
-		j.appendReportLocked(1, uint64(i+1), LoopEventRecord{Flow: uint32(i % 64), Reporter: uint32(i%5 + 1), Hops: 3, Node: 1}, i%40)
+		j.batchReportLocked(1, uint64(i+1), LoopEventRecord{Flow: uint32(i % 64), Reporter: uint32(i%5 + 1), Hops: 3, Node: 1}, i%40)
+		if i%256 == 255 {
+			j.sealBatchLocked()
+		}
 	}
+	j.sealBatchLocked()
 	j.commitLocked()
 	j.mu.Unlock()
 	if err := j.Close(); err != nil {
@@ -477,14 +533,17 @@ func TestRecoveryAllocationsFlat(t *testing.T) {
 
 // FuzzRecoverReference: a journal built from the input — reports,
 // ticks, retransmits, snapshots with arbitrary windows and possibly
-// duplicate flows, segments with and without head snapshots,
-// undecodable records and flipped bytes — recovers the same way through
-// both recoveries, or both refuse it with ErrJournalCorrupt.
+// duplicate flows, segments with and without head snapshots, records
+// standalone and in batch frames, undecodable records and flipped
+// bytes — recovers the same way through both recoveries, or both refuse
+// it with ErrJournalCorrupt.
 func FuzzRecoverReference(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 2})
 	f.Add([]byte{6, 8, 1, 0, 5, 1, 4, 2, 1, 3, 0, 0, 9, 12, 5, 0, 8, 3, 0, 0, 1, 7})
 	f.Add([]byte{2, 1, 0, 4, 0, 4, 1, 3, 7, 7, 0, 7, 0, 1, 0, 9, 1, 0, 6, 0})
 	f.Add([]byte{1, 2, 0, 0, 0, 0, 4, 1, 2, 0, 0, 0, 5, 0, 0, 1, 0, 7, 200, 0})
+	f.Add([]byte{3, 9, 128, 0, 1, 1, 0, 3, 0, 131, 1, 129, 1, 2, 3, 5, 9, 0, 4, 1, 3, 0, 1, 128, 2, 1, 0, 2, 1, 2, 131, 0, 1, 3, 0, 2, 1, 0, 3})
+	f.Add([]byte{4, 5, 128, 1, 1, 0, 2, 1, 3, 1, 1, 134, 2, 17, 130, 2, 1, 2, 0, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 512 {
 			return
@@ -530,9 +589,34 @@ func fuzzJournal(data []byte) [][]byte {
 		return appendJournalRecord(nil, encodeSnapshot(nil, withFlows(s, flows...)))
 	}
 	segs := [][]byte{appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot()))}
+	// An op of 128 or more puts its report, tick or undecodable record
+	// into the open batch frame; any other op first seals it at the end
+	// of the current segment.
+	var batch []byte
+	seal := func() {
+		if batch != nil {
+			segs[len(segs)-1] = appendJournalRecord(segs[len(segs)-1], batch)
+			batch = nil
+		}
+	}
 	for len(data) > 0 {
+		op := take()
+		inBatch := op >= 128 && op%8 != 4 && op%8 != 5 && op%8 != 7
+		if !inBatch {
+			seal()
+		}
 		cur := &segs[len(segs)-1]
-		switch op := take(); op % 8 {
+		write := func(payload []byte) {
+			if !inBatch {
+				*cur = appendJournalRecord(*cur, payload)
+				return
+			}
+			if batch == nil {
+				batch = []byte{jrecBatch}
+			}
+			batch = append(batch, payload...)
+		}
+		switch op % 8 {
 		case 0, 1, 2:
 			id := uint64(1 + take()%3)
 			if take()%16 != 0 {
@@ -542,11 +626,11 @@ func fuzzJournal(data []byte) [][]byte {
 			for m := take() % 4; m > 1; m-- {
 				ev.Members = append(ev.Members, m)
 			}
-			*cur = appendJournalRecord(*cur, appendJournalReport(nil, id, next[id], ev, int(take()%32)))
+			write(appendJournalReport(nil, id, next[id], ev, int(take()%32)))
 		case 3:
 			id := uint64(1 + take()%3)
 			next[id]++
-			*cur = appendJournalRecord(*cur, appendJournalTick(nil, id, next[id]))
+			write(appendJournalTick(nil, id, next[id]))
 		case 4:
 			if take()%2 == 0 {
 				segs = append(segs, snapshot())
@@ -556,13 +640,14 @@ func fuzzJournal(data []byte) [][]byte {
 		case 5:
 			segs = append(segs, nil) // a segment whose head snapshot was lost
 		case 6:
-			*cur = appendJournalRecord(*cur, []byte{byte(take()), byte(take())})
+			write([]byte{byte(take()), byte(take())})
 		case 7:
 			if len(*cur) > 0 {
 				(*cur)[int(take())*7%len(*cur)] ^= 0x5A
 			}
 		}
 	}
+	seal()
 	return segs
 }
 

@@ -513,7 +513,8 @@ type flowSlot struct {
 // per flow.
 //
 // The index grows by doubling while a shard fills its first MaxFlows
-// flows and is only cleared at later resets, so it never grows again.
+// flows (recovery sizes it once instead) and is only cleared at later
+// resets, so it never grows again.
 // Pages are not reused: a reset drops them and later flows land on
 // fresh ones, which keeps every *DedupWindow handed out stable for as
 // long as it is held and lets the old pages be collected.
@@ -523,16 +524,21 @@ type flowTable struct {
 }
 
 // flowIndex maps flows to slot numbers, handed out in insertion order.
-// It is two parallel arrays, cells[i] the flow and slots[i] its slot
-// number plus one (0 marks an empty cell), probed linearly from the
-// high bits of a mixed flow ID and kept at most 3/4 full. A flowTable
-// keeps its windows on pages beside one; recovery checks a superseded
-// snapshot for a flow listed twice against an index alone.
+// It is one array of cells, each a flow and its slot number side by
+// side so a probe touches one cache line, probed linearly from the high
+// bits of a mixed flow ID and kept at most 3/4 full. A flowTable keeps
+// its windows on pages beside one.
 type flowIndex struct {
-	cells []uint32
-	slots []int32
+	cells []flowCell
 	shift uint8 // 32 - log2(len(cells))
 	n     int32
+}
+
+// flowCell is one index cell: a flow and its slot number plus one (0
+// marks an empty cell).
+type flowCell struct {
+	flow uint32
+	slot int32
 }
 
 // flowIndexMin is the cell count of a flow index's first allocation.
@@ -565,12 +571,12 @@ func (x *flowIndex) find(flow uint32) int32 {
 	}
 	mask := len(x.cells) - 1
 	for c := x.home(flow); ; c = (c + 1) & mask {
-		s := x.slots[c]
-		if s == 0 {
+		cl := x.cells[c]
+		if cl.slot == 0 {
 			return -1
 		}
-		if x.cells[c] == flow {
-			return s - 1
+		if cl.flow == flow {
+			return cl.slot - 1
 		}
 	}
 }
@@ -604,38 +610,56 @@ func (t *flowTable) add(flow uint32) *dataplane.DedupWindow {
 func (x *flowIndex) insert(flow uint32, s int32) {
 	mask := len(x.cells) - 1
 	c := x.home(flow)
-	for x.slots[c] != 0 {
+	for x.cells[c].slot != 0 {
 		c = (c + 1) & mask
 	}
-	x.cells[c], x.slots[c] = flow, s
+	x.cells[c] = flowCell{flow: flow, slot: s}
 }
 
 // grow doubles the index (or allocates its first flowIndexMin cells)
 // and reinserts every flow.
 func (x *flowIndex) grow() {
-	cells, slots := x.cells, x.slots
-	n := max(2*len(cells), flowIndexMin)
-	x.cells, x.slots = make([]uint32, n), make([]int32, n)
-	x.shift = uint8(32 - bits.TrailingZeros(uint(n)))
-	for c, s := range slots {
-		if s != 0 {
-			x.insert(cells[c], s)
+	cells := x.cells
+	x.alloc(max(2*len(cells), flowIndexMin))
+	for _, cl := range cells {
+		if cl.slot != 0 {
+			x.insert(cl.flow, cl.slot)
 		}
 	}
 }
 
-// reset empties the index in place: it keeps its size and is cleared (a
-// cell is empty by its slot value alone, so the flows need no
-// clearing).
-func (x *flowIndex) reset() {
-	clear(x.slots)
+// alloc gives the index n empty cells, n a power of two.
+func (x *flowIndex) alloc(n int) {
+	x.cells = make([]flowCell, n)
+	x.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+}
+
+// resetFor empties the index and sizes it to hold n flows: to the size
+// doubling would reach for them, unless it is larger already, in which
+// case it is cleared in place. Adding up to n flows then never grows it.
+func (x *flowIndex) resetFor(n int) {
+	c := flowIndexMin
+	for 3*c < 4*n {
+		c *= 2
+	}
+	if c > len(x.cells) {
+		x.alloc(c)
+	} else {
+		clear(x.cells)
+	}
 	x.n = 0
 }
 
 // reset empties the table in place: the index is cleared and the pages
 // are dropped for fresh ones.
 func (t *flowTable) reset() {
-	t.flowIndex.reset()
+	t.resetFor(0)
+}
+
+// resetFor empties the table as reset does, sizing its index for n
+// flows.
+func (t *flowTable) resetFor(n int) {
+	t.flowIndex.resetFor(n)
 	clear(t.pages)
 	t.pages = t.pages[:0]
 }
@@ -997,10 +1021,11 @@ func writeAck(bw *bufio.Writer, ackBuf []byte, seq uint64) ([]byte, error) {
 // either none or all three effects of each frame (the §9 consistent-cut
 // argument, now at batch grain — rotation is checked once per batch, so
 // a segment may overshoot SegmentBytes by at most one batch of
-// records). Journal records are encoded through the journal's shared
-// scratch, so a batch appends without per-report allocations, and the
-// caller's single Commit (in flushAck) makes all of them durable at
-// once.
+// records). The batch's new reports and ticks are journaled as one batch
+// frame, encoded in the journal's reused buffer and sealed before the
+// rotation check, so a batch appends without per-report allocations,
+// with one CRC, and the caller's single Commit (in flushAck) makes all
+// of it durable at once.
 //
 // groups is the caller's reusable per-shard staging area: new reports
 // are bucketed by shard and pushed as one slice per shard, so queue
@@ -1025,7 +1050,7 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 		if it.tick {
 			ticks++
 			if j != nil {
-				j.appendTickLocked(clientID, it.seq)
+				j.batchTickLocked(clientID, it.seq)
 			}
 			flushShardGroups(s.shards, groups)
 			for _, sh := range s.shards {
@@ -1035,7 +1060,7 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 		}
 		ingested++
 		if j != nil {
-			j.appendReportLocked(clientID, it.seq, eventToRecord(it.ev), it.hop)
+			j.batchReportLocked(clientID, it.seq, eventToRecord(it.ev), it.hop)
 		}
 		idx := s.shardIndex(it.ev.Flow)
 		groups[idx] = append(groups[idx], shardItem{ev: it.ev, hop: it.hop})
@@ -1050,8 +1075,11 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 	if ticks > 0 {
 		s.ticks.Add(ticks)
 	}
-	if j != nil && j.needsRotateLocked() {
-		s.rotateWithSnapshotLocked(j)
+	if j != nil {
+		j.sealBatchLocked()
+		if j.needsRotateLocked() {
+			s.rotateWithSnapshotLocked(j)
+		}
 	}
 }
 

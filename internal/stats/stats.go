@@ -1,12 +1,11 @@
 // Package stats provides the summary statistics used by the evaluation
-// harness: streaming mean/variance, percentiles, confidence intervals, rate
-// estimators for rare events (false positives), and fixed-width histograms.
+// harness: streaming mean/variance, confidence intervals and rate
+// estimators for rare events (false positives).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates a stream of observations with O(1) memory using
@@ -101,31 +100,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.2g [%.4g, %.4g]", s.n, s.mean, s.CI95(), s.min, s.max)
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs is not modified. It panics on an
-// empty slice or out-of-range p.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // RateEstimator tracks the empirical rate of a rare event (e.g. a false
 // positive per run) together with a confidence bound.
 type RateEstimator struct {
@@ -173,58 +147,4 @@ func (r *RateEstimator) UpperBound95() float64 {
 	}
 	p := r.Rate()
 	return p + 1.96*math.Sqrt(p*(1-p)/float64(r.trials))
-}
-
-// Histogram counts observations into fixed-width buckets over [lo, hi).
-// Observations outside the range are clamped into the first or last bucket
-// and counted in Under/Over as well.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []uint64
-	Under   uint64
-	Over    uint64
-	width   float64
-}
-
-// NewHistogram returns a histogram with n buckets spanning [lo, hi).
-// It panics if n <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]uint64, n), width: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / h.width)
-	switch {
-	case x < h.Lo:
-		h.Under++
-		idx = 0
-	case idx >= len(h.Buckets):
-		h.Over++
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() uint64 {
-	var t uint64
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// Mode returns the midpoint of the fullest bucket.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, b := range h.Buckets {
-		if b > h.Buckets[best] {
-			best = i
-		}
-	}
-	return h.Lo + (float64(best)+0.5)*h.width
 }

@@ -85,36 +85,6 @@ func TestMergeEmpty(t *testing.T) {
 	}
 }
 
-// TestPercentile known values and interpolation.
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {75, 40}, {90, 46},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-9) {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile([]float64{7}, 50) != 7 {
-		t.Error("single-element percentile")
-	}
-	// Input must not be mutated.
-	if xs[0] != 15 || xs[4] != 50 {
-		t.Error("Percentile mutated its input")
-	}
-	for _, bad := range []float64{-1, 101} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("P%v should panic", bad)
-				}
-			}()
-			Percentile(xs, bad)
-		}()
-	}
-}
-
 // TestRateEstimator counting and bounds.
 func TestRateEstimator(t *testing.T) {
 	var r RateEstimator
@@ -138,44 +108,6 @@ func TestRateEstimator(t *testing.T) {
 	z.Add(0, 3_000_000)
 	if !almost(z.UpperBound95(), 1e-6, 1e-9) {
 		t.Fatalf("rule of three: %v", z.UpperBound95())
-	}
-}
-
-// TestHistogram bucketing, clamping, and mode.
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5.5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total %d", h.Total())
-	}
-	// Buckets: [0,2):0,1.9,-3 → 3; [2,4):2 → 1; [4,6):5.5 → 1;
-	// [6,8): 0; [8,10): 9.99, 42 → 2.
-	want := []uint64{3, 1, 1, 0, 2}
-	for i, w := range want {
-		if h.Buckets[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, h.Buckets[i], w, h.Buckets)
-		}
-	}
-	if h.Mode() != 1 { // midpoint of [0,2)
-		t.Fatalf("mode %v", h.Mode())
-	}
-	for _, bad := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 10, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid histogram should panic")
-				}
-			}()
-			bad()
-		}()
 	}
 }
 

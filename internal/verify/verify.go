@@ -237,17 +237,6 @@ type DstReport struct {
 	loops int
 }
 
-// LoopingStarts returns the ascending list of start nodes that loop.
-func (r *DstReport) LoopingStarts() []int {
-	var out []int
-	for u, oc := range r.Outcome {
-		if oc == OutcomeLoop {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // ClassifyDst walks the functional graph u → Next(u, dst) and resolves
 // every start node's outcome in O(n): each node is visited once, via
 // the standard white/grey/black colouring (a grey revisit closes a

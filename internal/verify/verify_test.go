@@ -48,8 +48,10 @@ func TestClassifyLoopWithEntries(t *testing.T) {
 	if len(r.Cycles) != 1 || !reflect.DeepEqual(r.Cycles[0], []int{2, 3, 4}) {
 		t.Errorf("cycles = %v, want [[2 3 4]]", r.Cycles)
 	}
-	if got := r.LoopingStarts(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
-		t.Errorf("looping starts = %v", got)
+	for u, oc := range r.Outcome {
+		if want := u >= 1 && u <= 5; (oc == OutcomeLoop) != want {
+			t.Errorf("node %d: outcome %v, loops %v", u, oc, want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // all switches; the compression variant (§3.3) truncates that hash to z
 // bits. The multi-hash extension (Appendix B) needs H independent functions
 // h_1..h_H. This package implements those families with strong 64-bit
-// mixers and a 2-independent multiply-shift family, all stdlib-only.
+// mixers, stdlib-only.
 package xhash
 
 // Mix64 is a full-avalanche 64-bit mixer (the SplitMix64 finaliser). Every
@@ -71,33 +71,4 @@ func NewFamily(seed uint64, h int) Family {
 		fam[i] = NewFunc(s)
 	}
 	return fam
-}
-
-// MultiplyShift is a 2-independent hash family h(x) = (a*x + b) >> (64-z)
-// with odd a. It is provided as an alternative to the mixer family for
-// property tests that want provable pairwise independence.
-type MultiplyShift struct {
-	a, b uint64
-}
-
-// NewMultiplyShift draws a family member from seed.
-func NewMultiplyShift(seed uint64) MultiplyShift {
-	a := Mix64(seed) | 1 // multiplier must be odd
-	b := Mix64(seed ^ 0xdeadbeefcafef00d)
-	return MultiplyShift{a: a, b: b}
-}
-
-// HashBits maps x to a z-bit value, 1 <= z <= 64.
-func (m MultiplyShift) HashBits(x uint64, z uint) uint64 {
-	if z == 0 || z > 64 {
-		panic("xhash: HashBits width out of range")
-	}
-	return (m.a*x + m.b) >> (64 - z)
-}
-
-// Fingerprint returns a z-bit fingerprint of id under the default family
-// member. It is the compression map from §3.3 used when no explicit
-// function is configured.
-func Fingerprint(id uint32, z uint) uint64 {
-	return NewFunc(0).HashBits(id, z)
 }

@@ -1,9 +1,6 @@
 package xhash
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 // TestMix64Avalanche: flipping any single input bit flips roughly half
 // the output bits on average.
@@ -131,44 +128,5 @@ func TestFamilyReproducible(t *testing.T) {
 				t.Fatal("families diverge")
 			}
 		}
-	}
-}
-
-// TestMultiplyShiftPairwise: empirical pairwise collision rate of the
-// 2-independent family is near 2^-z.
-func TestMultiplyShiftPairwise(t *testing.T) {
-	const z = 10
-	collisions := 0
-	const pairs = 3000
-	for s := uint64(0); s < pairs; s++ {
-		m := NewMultiplyShift(s)
-		if m.HashBits(12345, z) == m.HashBits(54321, z) {
-			collisions++
-		}
-	}
-	// Expected ≈ pairs/2^z ≈ 2.9.
-	if collisions > 15 {
-		t.Errorf("multiply-shift collides %d/%d, expected ≈3", collisions, pairs)
-	}
-}
-
-// TestMultiplyShiftQuick: outputs always fit the width.
-func TestMultiplyShiftQuick(t *testing.T) {
-	f := func(seed, x uint64) bool {
-		m := NewMultiplyShift(seed)
-		return m.HashBits(x, 16) < 1<<16
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFingerprint is the documented §3.3 compression map.
-func TestFingerprint(t *testing.T) {
-	if Fingerprint(1, 7) >= 128 {
-		t.Error("fingerprint exceeds width")
-	}
-	if Fingerprint(1, 7) != NewFunc(0).HashBits(1, 7) {
-		t.Error("fingerprint must match the default family member")
 	}
 }
