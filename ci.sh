@@ -23,15 +23,23 @@
 #   collector e2e a second, explicit race-enabled run of the collectord
 #                 end-to-end suite (16 concurrent clients streaming a
 #                 scenario through the framed TCP protocol, connection
-#                 kills, exact aggregate accounting), including the
-#                 seeded chaosnet gate (latency, fragmented writes,
-#                 mid-frame resets — accounting must stay exact) and the
-#                 in-package journal kill-recover property — the
-#                 service gate
+#                 kills, exact aggregate accounting), all at the
+#                 production shard-queue depth, including the seeded
+#                 chaosnet gate (latency, fragmented writes, mid-frame
+#                 resets — accounting must stay exact), the
+#                 back-pressure tests (with the shard workers held, a
+#                 reader waits for queue room and drops nothing,
+#                 DisconnectAll and Shutdown wake it, a multi-connection
+#                 flood grows a ring, every frame lands once) and the
+#                 in-package journal kill-recover property, whose
+#                 stream floods the queues past where they once shed
+#                 and whose live admission totals must equal the
+#                 recovered ones — the service gate
 #   kill-recover  race-enabled run of the process-level crash test: a
 #                 journaled collectord SIGKILLed mid-ingest, restarted
 #                 on the same journal directory, final accounting shows
-#                 every event ingested exactly once. Every collectord
+#                 every event ingested exactly once and delivered to a
+#                 controller, at the default queue depth. Every collectord
 #                 is a cluster node (a standalone one is a cluster of
 #                 one), so this exercises the node bootstrap path:
 #                 staged replay, peerless reconcile, post-commit

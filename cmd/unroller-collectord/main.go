@@ -3,14 +3,15 @@
 // paper's prototype assumes (§5). Emulators (and tests) stream loop
 // reports to it over the versioned frame protocol in
 // internal/collectorsvc; the daemon shards ingest by flow hash across
-// independent controller instances, absorbs bursts in bounded queues
-// with counted drop-oldest backpressure, and serves its counters on a
-// plaintext admin endpoint.
+// independent controller instances, absorbs bursts in per-shard queues
+// that push back on the connection when full (the client's bounded,
+// counted buffer is the only place a report can be dropped), and serves
+// its counters on a plaintext admin endpoint.
 //
 // Usage:
 //
 //	unroller-collectord [-listen :7777] [-admin :7778] [-shards 4]
-//	                    [-queue 1024] [-dedup 8] [-max-events 4096]
+//	                    [-dedup 8] [-max-events 4096]
 //	                    [-quarantine-after 0] [-quarantine-ticks 0]
 //	                    [-max-age 0] [-ack-every 64] [-batch 256]
 //	                    [-journal DIR] [-fsync interval] [-segment-bytes N]
@@ -47,7 +48,7 @@
 // SIGINT or SIGTERM drains gracefully: leave the cluster, stop
 // accepting, close connections, flush every shard queue into its
 // controller, then print the final accounting (after which Ingested =
-// delivered + queue-dropped holds exactly).
+// delivered holds exactly).
 package main
 
 import (
@@ -76,7 +77,6 @@ func main() {
 		listen   = flag.String("listen", ":7777", "ingest listener address")
 		admin    = flag.String("admin", "", "admin /statsz listener address (empty = disabled)")
 		shards   = flag.Int("shards", collectorsvc.DefaultShards, "independent ingest shards")
-		queue    = flag.Int("queue", collectorsvc.DefaultQueueDepth, "per-shard queue depth (drop-oldest beyond it)")
 		dedup    = flag.Int("dedup", 8, "per-flow dedup window in hops (0 = off)")
 		maxEv    = flag.Int("max-events", dataplane.DefaultMaxEvents, "per-shard event buffer size")
 		qAfter   = flag.Int("quarantine-after", 0, "quarantine a reporter after this many accepts per tick (0 = off; per-shard under flow sharding)")
@@ -102,7 +102,6 @@ func main() {
 	flag.Parse()
 	cfg := collectorsvc.ServerConfig{
 		Shards:       *shards,
-		QueueDepth:   *queue,
 		AckEvery:     *ackEvery,
 		Batch:        *batch,
 		ReadTimeout:  *readTO,
@@ -203,8 +202,8 @@ func runCluster(w io.Writer, ncfg cluster.NodeConfig, jcfg *collectorsvc.Journal
 			jcfg.Dir, jcfg.Fsync, rec.Records, rec.Snapshots, rec.TruncatedBytes, rec.Clients, rec.Flows, rec.Ingested, rec.Ticks, rec.CrossDupes)
 	}
 	scfg := ncfg.Server
-	fmt.Fprintf(w, "listening on %s (shards=%d queue=%d dedup=%d)\n",
-		node.IngestAddr(), scfg.Shards, scfg.QueueDepth, scfg.Controller.DedupWindow)
+	fmt.Fprintf(w, "listening on %s (shards=%d dedup=%d)\n",
+		node.IngestAddr(), scfg.Shards, scfg.Controller.DedupWindow)
 	fmt.Fprintf(w, "node %s: cluster on %s (partitions=%d vnodes=%d seed=%d peers=%d)\n",
 		node.ID(), node.ClusterAddr(), ncfg.Partitions, ncfg.VNodes, ncfg.Seed, len(ncfg.Peers))
 	if ready != nil {
@@ -233,8 +232,8 @@ func runCluster(w io.Writer, ncfg cluster.NodeConfig, jcfg *collectorsvc.Journal
 	node.Stop()
 
 	st := srv.Stats()
-	fmt.Fprintf(w, "final: conns=%d frames=%d bad=%d dupes=%d ingested=%d ticks=%d cross_dupes=%d queue_dropped=%d shedded_ticks=%d conns_rejected=%d\n",
-		st.Conns, st.Frames, st.BadFrames, st.Dupes, st.Ingested, st.Ticks, st.CrossDupes, st.QueueDropped, st.SheddedTicks, st.ConnsRejected)
+	fmt.Fprintf(w, "final: conns=%d frames=%d bad=%d dupes=%d ingested=%d ticks=%d cross_dupes=%d conns_rejected=%d\n",
+		st.Conns, st.Frames, st.BadFrames, st.Dupes, st.Ingested, st.Ticks, st.CrossDupes, st.ConnsRejected)
 	if j := srv.Journal(); j != nil {
 		jst := j.Stats()
 		fmt.Fprintf(w, "journal: segments=%d bytes=%d appends=%d append_errors=%d rotations=%d\n",

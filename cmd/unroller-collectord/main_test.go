@@ -40,7 +40,6 @@ func startDaemon(t *testing.T, id string, peers []string) *daemon {
 		Seed:          42,
 		Server: collectorsvc.ServerConfig{
 			Shards:     2,
-			QueueDepth: 1 << 14,
 			Controller: dataplane.ControllerConfig{MaxEvents: 1024, DedupWindow: 8},
 		},
 	}
@@ -148,7 +147,7 @@ func TestRunServesAndDrains(t *testing.T) {
 				text := d.out.String()
 				for _, want := range []string{
 					"listening on", "node " + d.id + ": cluster on", "admin on",
-					"final:", "queue_dropped=0", "cluster: id=" + d.id, "aggregate:", "shard 1:",
+					"final:", "cluster: id=" + d.id, "aggregate:", "shard 1:",
 				} {
 					if !strings.Contains(text, want) {
 						t.Errorf("node %s output missing %q:\n%s", d.id, want, text)

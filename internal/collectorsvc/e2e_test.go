@@ -28,7 +28,6 @@ var microloopController = dataplane.ControllerConfig{
 func TestCollectorEndToEnd(t *testing.T) {
 	srv := NewServer(ServerConfig{
 		Shards:     4,
-		QueueDepth: 1 << 15, // deep enough that backpressure never drops
 		Controller: microloopController,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -87,9 +86,6 @@ func TestCollectorEndToEnd(t *testing.T) {
 	if st.Ingested != acked {
 		t.Errorf("server ingested %d, clients got %d acks", st.Ingested, acked)
 	}
-	if st.QueueDropped != 0 {
-		t.Fatalf("server dropped %d from shard queues (depth undersized for this test?)", st.QueueDropped)
-	}
 	if st.BadFrames != 0 {
 		t.Errorf("server counted %d bad frames on a clean stream", st.BadFrames)
 	}
@@ -105,10 +101,13 @@ func TestCollectorEndToEnd(t *testing.T) {
 		t.Errorf("merged stats broke the delivery identity: %+v", got)
 	}
 	// Exact loss accounting, the other acceptance criterion:
-	// sent = ingested + client-dropped + server-dropped.
-	if enqueued != st.Ingested+dropped+st.QueueDropped {
-		t.Errorf("loss accounting: enqueued %d != ingested %d + client-dropped %d + queue-dropped %d",
-			enqueued, st.Ingested, dropped, st.QueueDropped)
+	// sent = ingested + client-dropped, and every ingested report
+	// reached a controller.
+	if enqueued != st.Ingested+dropped {
+		t.Errorf("loss accounting: enqueued %d != ingested %d + client-dropped %d", enqueued, st.Ingested, dropped)
+	}
+	if got.Delivered != st.Ingested {
+		t.Errorf("drain accounting: delivered %d != ingested %d", got.Delivered, st.Ingested)
 	}
 }
 
@@ -116,7 +115,7 @@ func TestCollectorEndToEnd(t *testing.T) {
 // killed mid-stream — twice — and the reconnect/retransmit/sequence
 // machinery still lands every report exactly once.
 func TestCollectorSurvivesConnectionKills(t *testing.T) {
-	srv := NewServer(ServerConfig{Shards: 3, QueueDepth: 1 << 14})
+	srv := NewServer(ServerConfig{Shards: 3})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -200,41 +199,12 @@ func TestCollectorSurvivesConnectionKills(t *testing.T) {
 	if st.Ingested != acked {
 		t.Errorf("server ingested %d, clients got %d acks", st.Ingested, acked)
 	}
-	if enqueued != st.Ingested+dropped+st.QueueDropped {
-		t.Errorf("loss accounting: enqueued %d != ingested %d + client-dropped %d + queue-dropped %d",
-			enqueued, st.Ingested, dropped, st.QueueDropped)
+	if enqueued != st.Ingested+dropped {
+		t.Errorf("loss accounting: enqueued %d != ingested %d + client-dropped %d", enqueued, st.Ingested, dropped)
 	}
 	agg := srv.ControllerStats()
-	if uint64(agg.Delivered)+st.QueueDropped != st.Ingested {
-		t.Errorf("drain accounting: delivered %d + queue-dropped %d != ingested %d",
-			agg.Delivered, st.QueueDropped, st.Ingested)
-	}
-}
-
-// TestCollectorBackpressureDropsAreCounted: a one-slot shard queue with
-// a stalled worker must shed load via drop-oldest and count every
-// eviction, never blocking the reader.
-func TestCollectorBackpressureDropsAreCounted(t *testing.T) {
-	sh := newShard(dataplane.ControllerConfig{}, 4, DefaultMaxFlows)
-	// No worker goroutine: the queue can only shed by dropping.
-	const n = 100
-	for i := 0; i < n; i++ {
-		sh.push(shardItem{ev: dataplane.LoopEvent{Flow: uint32(i)}})
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.n != 4 {
-		t.Errorf("queue holds %d, want 4", sh.n)
-	}
-	if sh.dropped != n-4 {
-		t.Errorf("dropped %d, want %d", sh.dropped, n-4)
-	}
-	// The survivors are the newest four, in order.
-	for i := 0; i < sh.n; i++ {
-		got := sh.ring[(sh.head+i)%len(sh.ring)].ev.Flow
-		if want := uint32(n - 4 + i); got != want {
-			t.Errorf("slot %d: flow %d, want %d", i, got, want)
-		}
+	if agg.Delivered != st.Ingested {
+		t.Errorf("drain accounting: delivered %d != ingested %d", agg.Delivered, st.Ingested)
 	}
 }
 

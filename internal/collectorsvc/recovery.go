@@ -75,7 +75,7 @@ func (s *Server) rotateWithSnapshotLocked(j *Journal) {
 		resume:  make(chan struct{}),
 	}
 	for _, sh := range s.shards {
-		sh.push(shardItem{barrier: b})
+		sh.pushBatch([]shardItem{{barrier: b}})
 	}
 	for range s.shards {
 		//unroller:allow lockscope -- the barrier receive under s.mu IS the quiescence protocol: workers always drain it (Shutdown cannot stop them before this reader returns), and holding s.mu is what freezes the snapshot
@@ -127,9 +127,6 @@ func (s *Server) captureSnapshotLocked() *journalSnapshot {
 		FlowEvictions: s.flowEvictBase,
 	}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		snap.QueueDropped += sh.dropped
-		sh.mu.Unlock()
 		snap.FlowEvictions += sh.evictions.Load()
 	}
 	// Aggregate controller totals, cumulative across prior recoveries.

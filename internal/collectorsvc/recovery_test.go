@@ -95,7 +95,7 @@ func TestCollectorFlowTableResetKeepsWindows(t *testing.T) {
 // snapshot stays flow-keyed, so recovering the same image under 1 and
 // 7 shards (with no resets while replaying) gives equal aggregates.
 func TestRecoveryAcrossFlowTableResets(t *testing.T) {
-	cfg := ServerConfig{Shards: 4, MaxFlows: 6, QueueDepth: 1 << 14, Controller: microloopController}
+	cfg := ServerConfig{Shards: 4, MaxFlows: 6, Controller: microloopController}
 	dir := t.TempDir()
 	j, err := OpenJournal(JournalConfig{Dir: dir, SegmentBytes: 1024, MaxSegments: 4, Fsync: FsyncNever})
 	if err != nil {

@@ -289,7 +289,7 @@ func writeTestJournal(t *testing.T, p journalPlan) string {
 	t.Helper()
 	dir := t.TempDir()
 	jcfg := JournalConfig{Dir: dir, SegmentBytes: p.segBytes, MaxSegments: p.retain, Fsync: FsyncNever}
-	scfg := ServerConfig{Shards: 3, MaxFlows: p.maxFlows, QueueDepth: 1 << 14, Controller: microloopController}
+	scfg := ServerConfig{Shards: 3, MaxFlows: p.maxFlows, Controller: microloopController}
 	r := xrand.New(p.seed)
 	next := make(map[uint64]uint64)
 	run := func(batches int) {
@@ -662,7 +662,7 @@ func BenchmarkRecover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	live, _, err := NewRecoveredServer(ServerConfig{Shards: 4, QueueDepth: 1 << 14, Controller: microloopController, Journal: j})
+	live, _, err := NewRecoveredServer(ServerConfig{Shards: 4, Controller: microloopController, Journal: j})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,12 +23,6 @@ type ServerConfig struct {
 	// land on one shard and its dedup window sees the complete, ordered
 	// hop history. <= 0 selects DefaultShards.
 	Shards int
-	// QueueDepth bounds each shard's ingest queue. When a queue is full,
-	// pushing a new event drops the oldest queued one (counted in
-	// ServerStats.QueueDropped) rather than blocking the connection
-	// reader — backpressure never stalls the accept loop or a socket.
-	// <= 0 selects DefaultQueueDepth.
-	QueueDepth int
 	// Controller configures each shard's controller. The per-shard
 	// configs are identical, so merged stats preserve the admission
 	// identities exactly.
@@ -55,7 +49,9 @@ type ServerConfig struct {
 	// handed to the shard queues under a single journal-lock acquisition
 	// with one queue push per touched shard. Larger batches amortize
 	// locks and syscalls; smaller ones bound ack latency under sustained
-	// load. <= 0 selects DefaultBatch.
+	// load. <= 0 selects DefaultBatch; a value above the shard queue
+	// depth (1024) is capped at it, because a reader waits for room for
+	// its whole batch before ingesting it.
 	Batch int
 	// Journal, when non-nil, makes ingest crash-safe: every accounted
 	// frame is appended (and flushed to the OS before it is
@@ -84,7 +80,6 @@ type ServerConfig struct {
 // Defaults for ServerConfig's knobs.
 const (
 	DefaultShards       = 4
-	DefaultQueueDepth   = 1024
 	DefaultMaxFlows     = 1 << 16
 	DefaultAckEvery     = 64
 	DefaultBatch        = 256
@@ -96,7 +91,7 @@ const (
 // ServerStats is a snapshot of the service-level counters (the
 // controller-level counters live in the per-shard ControllerStats).
 // Accounting identity, once queues are drained: Ingested = sum over
-// shards of controller Delivered + QueueDropped.
+// shards of controller Delivered.
 type ServerStats struct {
 	// Conns counts connections accepted over the server's lifetime;
 	// ActiveConns is the current count.
@@ -122,10 +117,11 @@ type ServerStats struct {
 	// node had already ingested them — the cross-node analogue of Dupes.
 	// It only moves on the recovery path, never during live ingest.
 	CrossDupes uint64 `json:"cross_dupes"`
-	// QueueDropped counts events evicted from full shard queues,
-	// FlowEvictions the dedup-map clears. Overload shedding prefers
-	// evicting queued ticks over loop reports; SheddedTicks counts the
-	// QueueDropped subset that were ticks.
+	// FlowEvictions counts the dedup-map clears. Shard queues drop
+	// nothing (a full one makes the reader wait): QueueDropped and
+	// SheddedTicks keep their /statsz keys, SheddedTicks reads 0, and
+	// QueueDropped only carries a total recovered from an older
+	// collectord's snapshot.
 	QueueDropped  uint64 `json:"queue_dropped"`
 	SheddedTicks  uint64 `json:"shedded_ticks"`
 	FlowEvictions uint64 `json:"flow_evictions"`
@@ -161,6 +157,7 @@ type Server struct {
 	dupes         atomic.Uint64
 	ingested      atomic.Uint64
 	ticks         atomic.Uint64
+	disconnects   atomic.Uint64 // DisconnectAll calls
 	serveErr      error
 	serveEnded    chan struct{}
 
@@ -309,23 +306,32 @@ type shardItem struct {
 // delivered) and then parks until resume closes. While every worker is
 // parked, shard flow tables and controller stats are a consistent cut.
 // Barriers are only pushed while the journal mutex serializes all
-// ingest, so no later push can race one out of the queue.
+// ingest, so nothing is queued behind one until the snapshot is taken.
 type shardBarrier struct {
 	reached chan struct{}
 	resume  chan struct{}
 }
 
-// shard is one independent ingest lane: bounded ring queue, controller,
-// and per-flow dedup windows. The queue is guarded by mu; the flow table
-// is touched only by the shard's worker goroutine.
+// queueDepth is the ring size each shard starts with.
+const queueDepth = 1024
+
+// shard is one independent ingest lane: ring queue, controller, and
+// per-flow dedup windows. The queue is guarded by mu; the flow table is
+// touched only by the shard's worker goroutine.
+//
+// A full ring pushes back on the connection: readers wait in waitRoom
+// before they take the journal lock. A push runs under that lock or in a
+// rotation's barrier, so it never waits or drops; if it finds the ring
+// full (readers passed waitRoom together, or a barrier followed a batch
+// that filled it) the ring grows.
 type shard struct {
-	mu           sync.Mutex
-	cond         *sync.Cond
-	ring         []shardItem
-	head, n      int
-	dropped      uint64
-	sheddedTicks uint64
-	closed       bool
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled when items arrive or the shard closes
+	room    *sync.Cond // broadcast when the worker frees slots, or on DisconnectAll
+	ring    []shardItem
+	head, n int
+	waiters int // readers parked in waitRoom
+	closed  bool
 
 	ctrl      *dataplane.Controller
 	flows     flowTable
@@ -340,74 +346,47 @@ func newShard(ctrlCfg dataplane.ControllerConfig, depth, maxFlows int) *shard {
 		maxFlows: maxFlows,
 	}
 	sh.cond = sync.NewCond(&sh.mu)
+	sh.room = sync.NewCond(&sh.mu)
 	return sh
 }
 
-// push enqueues it, evicting a queued item when full. It never blocks:
-// the connection reader must keep draining its socket no matter how far
-// behind the shard worker is. Overload shedding prefers evicting a
-// queued tick (the controller clock advancing late is recoverable;
-// a lost loop report is the one thing the paper's pipeline exists to
-// deliver); only when no tick is queued does it drop the oldest report.
-func (sh *shard) push(it shardItem) {
+// waitRoom blocks until the ring can take need more items without
+// growing, and reports true; or reports false once gone does.
+func (sh *shard) waitRoom(need int, gone func() bool) bool {
 	sh.mu.Lock()
-	sh.pushLocked(it)
-	sh.mu.Unlock()
-	sh.cond.Signal()
+	defer sh.mu.Unlock()
+	for len(sh.ring)-sh.n < need {
+		if gone() {
+			return false
+		}
+		sh.waiters++
+		sh.room.Wait()
+		sh.waiters--
+	}
+	return true
 }
 
 // pushBatch enqueues a slice of items with one lock acquisition and one
 // worker wakeup — the batched hand-off the connection readers use so
-// queue-lock traffic scales with batches, not frames. Eviction
-// semantics per item are identical to push.
+// queue-lock traffic scales with batches, not frames. A full ring
+// doubles, keeping the queue order.
 func (sh *shard) pushBatch(items []shardItem) {
 	if len(items) == 0 {
 		return
 	}
 	sh.mu.Lock()
 	for _, it := range items {
-		sh.pushLocked(it)
+		if sh.n == len(sh.ring) {
+			ring := make([]shardItem, 2*len(sh.ring))
+			k := copy(ring, sh.ring[sh.head:])
+			copy(ring[k:], sh.ring[:sh.head])
+			sh.ring, sh.head = ring, 0
+		}
+		sh.ring[(sh.head+sh.n)%len(sh.ring)] = it
+		sh.n++
 	}
 	sh.mu.Unlock()
 	sh.cond.Signal()
-}
-
-func (sh *shard) pushLocked(it shardItem) {
-	if sh.n == len(sh.ring) {
-		if !sh.shedTickLocked() {
-			sh.ring[sh.head] = shardItem{} // drop the oldest
-			sh.head = (sh.head + 1) % len(sh.ring)
-			sh.n--
-			sh.dropped++
-		}
-	}
-	sh.ring[(sh.head+sh.n)%len(sh.ring)] = it
-	sh.n++
-}
-
-// shedTickLocked evicts the oldest queued tick, preserving the order of
-// everything else, and reports whether one was found. O(n) in the queue
-// depth, but only on overflow and only while a tick is actually queued.
-func (sh *shard) shedTickLocked() bool {
-	at := -1
-	for i := 0; i < sh.n; i++ {
-		idx := (sh.head + i) % len(sh.ring)
-		if sh.ring[idx].tick {
-			at = i
-			break
-		}
-	}
-	if at < 0 {
-		return false
-	}
-	for i := at; i < sh.n-1; i++ {
-		sh.ring[(sh.head+i)%len(sh.ring)] = sh.ring[(sh.head+i+1)%len(sh.ring)]
-	}
-	sh.ring[(sh.head+sh.n-1)%len(sh.ring)] = shardItem{}
-	sh.n--
-	sh.dropped++
-	sh.sheddedTicks++
-	return true
 }
 
 // popBatch dequeues up to cap(dst)-len(dst) items into dst with one
@@ -427,6 +406,9 @@ func (sh *shard) popBatch(dst []shardItem) ([]shardItem, bool) {
 		sh.ring[sh.head] = shardItem{}
 		sh.head = (sh.head + 1) % len(sh.ring)
 		sh.n--
+	}
+	if sh.waiters > 0 {
+		sh.room.Broadcast()
 	}
 	return dst, true
 }
@@ -703,9 +685,6 @@ func buildServer(cfg ServerConfig) *Server {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if cfg.MaxFlows <= 0 {
 		cfg.MaxFlows = DefaultMaxFlows
 	}
@@ -715,6 +694,9 @@ func buildServer(cfg ServerConfig) *Server {
 	if cfg.Batch <= 0 {
 		cfg.Batch = DefaultBatch
 	}
+	// A reader waits for room for its whole batch, which a larger batch
+	// than the queue would never find.
+	cfg.Batch = min(cfg.Batch, queueDepth)
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = DefaultReadTimeout
 	}
@@ -732,7 +714,7 @@ func buildServer(cfg ServerConfig) *Server {
 		serveEnded: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(cfg.Controller, cfg.QueueDepth, cfg.MaxFlows))
+		s.shards = append(s.shards, newShard(cfg.Controller, queueDepth, cfg.MaxFlows))
 	}
 	return s
 }
@@ -872,6 +854,8 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	cs := s.clientState(f.ClientID)
 	clientID := f.ClientID
+	gen := s.disconnects.Load()
+	gone := func() bool { return s.disconnects.Load() != gen } // DisconnectAll ran
 
 	var lastSeen, lastAcked uint64
 	pending := 0
@@ -907,11 +891,22 @@ func (s *Server) handle(conn net.Conn) {
 
 	batch := make([]batchItem, 0, s.cfg.Batch)
 	groups := make([][]shardItem, len(s.shards))
-	ingest := func() {
-		if len(batch) > 0 {
-			s.ingestBatch(cs, clientID, batch, groups)
-			batch = batch[:0]
+	// ingest first waits, before any lock, until every shard has room
+	// for the batch: n frames add at most n items to a shard (a tick
+	// adds one to each). It reports false if the reader gave up waiting
+	// (gone): the batch is not accounted, and must not be acknowledged.
+	ingest := func() bool {
+		if len(batch) == 0 {
+			return true
 		}
+		for _, sh := range s.shards {
+			if !sh.waitRoom(len(batch), gone) {
+				return false
+			}
+		}
+		s.ingestBatch(cs, clientID, batch, groups)
+		batch = batch[:0]
+		return true
 	}
 
 	for {
@@ -957,8 +952,7 @@ func (s *Server) handle(conn net.Conn) {
 				// carrying them across the rebind would acknowledge
 				// sequences the new client never sent.
 				if f.ClientID != clientID {
-					ingest()
-					if !flushAck() {
+					if !ingest() || !flushAck() {
 						s.frames.Add(frames)
 						return
 					}
@@ -969,8 +963,9 @@ func (s *Server) handle(conn net.Conn) {
 			default:
 				s.badFrames.Add(1)
 				s.frames.Add(frames)
-				ingest()
-				flushAck()
+				if ingest() {
+					flushAck()
+				}
 				return
 			}
 			if len(batch) >= s.cfg.Batch || !frameBuffered(br) {
@@ -981,14 +976,17 @@ func (s *Server) handle(conn net.Conn) {
 				// error, not a transport one.
 				s.badFrames.Add(1)
 				s.frames.Add(frames)
-				ingest()
-				flushAck()
+				if ingest() {
+					flushAck()
+				}
 				return
 			}
 			frames++
 		}
 		s.frames.Add(frames)
-		ingest()
+		if !ingest() {
+			return
+		}
 		// Acknowledge at batch boundaries (socket idle) or once at least
 		// AckEvery frames are pending, whichever comes first.
 		if pending >= s.cfg.AckEvery || br.Buffered() == 0 {
@@ -1028,12 +1026,13 @@ func writeAck(bw *bufio.Writer, ackBuf []byte, seq uint64) ([]byte, error) {
 // of it durable at once.
 //
 // groups is the caller's reusable per-shard staging area: new reports
-// are bucketed by shard and pushed as one slice per shard, so queue
-// locks and worker wakeups are per batch, not per report. Ticks fan out
-// to every shard and act as sub-batch boundaries — grouped reports are
-// flushed first, so each shard's queue sees reports and ticks in
+// are bucketed by shard, a tick is appended to every shard's group, and
+// each group is pushed as one slice (pushBatch copies it, so the
+// backing arrays are reused), so queue locks and worker wakeups are per
+// batch, not per report. Each shard's queue sees reports and ticks in
 // arrival order, and a journal replay (which applies records one at a
-// time, in order) reproduces the exact same delivery sequence.
+// time, in order) reproduces the exact same delivery sequence. The
+// caller has waited in waitRoom first; no push here waits or drops.
 func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, groups [][]shardItem) {
 	j := s.journal
 	if j != nil {
@@ -1052,9 +1051,8 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 			if j != nil {
 				j.batchTickLocked(clientID, it.seq)
 			}
-			flushShardGroups(s.shards, groups)
-			for _, sh := range s.shards {
-				sh.push(shardItem{tick: true})
+			for i := range groups {
+				groups[i] = append(groups[i], shardItem{tick: true})
 			}
 			continue
 		}
@@ -1065,7 +1063,10 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 		idx := s.shardIndex(it.ev.Flow)
 		groups[idx] = append(groups[idx], shardItem{ev: it.ev, hop: it.hop})
 	}
-	flushShardGroups(s.shards, groups)
+	for i, g := range groups {
+		s.shards[i].pushBatch(g)
+		groups[i] = g[:0]
+	}
 	if dupes > 0 {
 		s.dupes.Add(dupes)
 	}
@@ -1079,18 +1080,6 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 		j.sealBatchLocked()
 		if j.needsRotateLocked() {
 			s.rotateWithSnapshotLocked(j)
-		}
-	}
-}
-
-// flushShardGroups pushes each shard's staged report slice and resets
-// the groups for reuse (pushBatch copies items into the ring, so the
-// backing arrays are safe to recycle).
-func flushShardGroups(shards []*shard, groups [][]shardItem) {
-	for i, g := range groups {
-		if len(g) > 0 {
-			shards[i].pushBatch(g)
-			groups[i] = g[:0]
 		}
 	}
 }
@@ -1117,7 +1106,8 @@ func (s *Server) clientState(id uint64) *clientSeq {
 // DisconnectAll closes every active connection — the fault-injection
 // surface the reconnect tests (and chaos drills) use. Clients are
 // expected to reconnect and retransmit; sequence accounting keeps the
-// ingest exactly-once across the kill.
+// ingest exactly-once across the kill. A reader waiting for shard room
+// gives its batch up unacknowledged and returns.
 func (s *Server) DisconnectAll() {
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
@@ -1125,8 +1115,14 @@ func (s *Server) DisconnectAll() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
+	s.disconnects.Add(1)
 	for _, c := range conns {
 		c.Close()
+	}
+	for _, sh := range s.shards {
+		sh.mu.Lock() // orders the wake after a waiter's check
+		sh.room.Broadcast()
+		sh.mu.Unlock()
 	}
 }
 
@@ -1163,8 +1159,9 @@ func (s *Server) Shutdown() {
 }
 
 // Stats snapshots the service-level counters. After a recovery, the
-// shard-resident counters (queue drops, flow evictions) include the
-// baselines carried over from the journal snapshot.
+// shard-resident counters (flow evictions, and the queue drops of an
+// older collectord) include the baselines carried over from the journal
+// snapshot.
 func (s *Server) Stats() ServerStats {
 	var st ServerStats
 	st.Conns = s.conns64.Load()
@@ -1181,16 +1178,14 @@ func (s *Server) Stats() ServerStats {
 	st.FlowEvictions = s.flowEvictBase
 	s.mu.Unlock()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		st.QueueDropped += sh.dropped
-		st.SheddedTicks += sh.sheddedTicks
-		sh.mu.Unlock()
 		st.FlowEvictions += sh.evictions.Load()
 	}
 	return st
 }
 
 // ShardQueueStats is one shard's live queue gauge set for /statsz.
+// Dropped and SheddedTicks keep their /statsz keys but always read 0:
+// a full queue makes the connection reader wait instead of dropping.
 type ShardQueueStats struct {
 	Depth        int    `json:"depth"`
 	Dropped      uint64 `json:"dropped"`
@@ -1202,7 +1197,7 @@ func (s *Server) QueueStats() []ShardQueueStats {
 	out := make([]ShardQueueStats, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		out[i] = ShardQueueStats{Depth: sh.n, Dropped: sh.dropped, SheddedTicks: sh.sheddedTicks}
+		out[i] = ShardQueueStats{Depth: sh.n}
 		sh.mu.Unlock()
 	}
 	return out

@@ -11,8 +11,8 @@
 //     hellos, epoch ticks, and acknowledgements;
 //   - server.go: a TCP service that ingests frames, shards events by
 //     flow hash across N independent dataplane.Controller instances,
-//     and absorbs bursts in bounded per-shard queues with counted
-//     drop-oldest backpressure;
+//     and absorbs bursts in per-shard queues that, when full, make the
+//     connection's reader wait instead of dropping anything;
 //   - client.go: a reconnecting sender with capped exponential backoff
 //     plus seeded jitter, a bounded local buffer with its own drop
 //     accounting, batched writes, and sequence-numbered exactly-once
@@ -22,9 +22,9 @@
 //     internal/dataplane).
 //
 // Accounting is exact end to end: every event a client enqueues is
-// eventually delivered to a shard controller, counted as dropped by the
-// client, or counted as dropped by a shard queue — never silently lost,
-// even across connection kills (see the package's end-to-end tests).
+// eventually delivered to a shard controller or counted as dropped by
+// the client — never silently lost, even across connection kills (see
+// the package's end-to-end tests).
 package collectorsvc
 
 import (
