@@ -12,7 +12,8 @@
 #                installer and journal recovery against its reference
 #                recovery 5s each, dataplane packet wire format,
 #                collectorsvc report frames, journal segments, and the
-#                static FIB verifier 10s each)
+#                static FIB verifier 10s each): the one list of fuzz
+#                targets, which ci.sh's fuzz smoke runs
 #   make oracle  the cross-plane verification gate under -race:
 #                every named scenario at 1/4/16 workers reconciled against
 #                static FIB ground truth, plus the multi-seed property
@@ -24,7 +25,7 @@
 #   make ci      the full gate (ci.sh): build, a test file in every main
 #                package, vet, unroller-vet, race tests, oracle gate,
 #                fuzz smoke, perfbench (its own module: vet, tests, a
-#                1 s run of each workload and one 6 s traced run), bench
+#                1 s run of each workload and one 30 s traced run), bench
 #                smoke
 
 GO ?= go

@@ -67,15 +67,15 @@
 #                 epoch of a torus churn run (route deltas, link flap,
 #                 restart), report reuse for untouched destinations,
 #                 and a Clear for an unknown destination as a no-op
-#   fuzz smoke    5s of each bitpack fuzz target, of the Unroller
-#                 header decoder and visit-sequence targets, of the
+#   fuzz smoke    `make fuzz`, the one list of fuzz targets: 5s of
+#                 each bitpack fuzz target, of the Unroller header
+#                 decoder and visit-sequence targets, of the
 #                 distance-vector engine against its from-scratch
 #                 reference, of the shortest-path FIB installer
 #                 against its reference and of journal recovery
-#                 against its reference recovery, and 10s
-#                 each of the packet wire-format, collector
-#                 report-frame, journal segment, and static FIB
-#                 verifier targets (`-fuzz
+#                 against its reference recovery, and 10s each of the
+#                 packet wire-format, collector report-frame, journal
+#                 segment, and static FIB verifier targets (`-fuzz
 #                 Fuzz` would refuse to run because several targets
 #                 match, so each is invoked by exact name)
 #   perfbench     the benchmark harness is a module of its own, so the
@@ -83,8 +83,11 @@
 #                 it in place, then run each workload (fwd-fattree32,
 #                 churn-microloop, ingest-journal) for 1 s through
 #                 perfbench/run.sh; its last line must report
-#                 "correct":true. Then one 6 s traced run
-#                 (`--trace 1`), which makes the three traced passes
+#                 "correct":true. Then one 30 s traced run
+#                 (`--trace 1`, the benchmark's own run length, so
+#                 its journal rotations and the fwd coverage margin
+#                 are exercised as the benchmark sees them), which
+#                 makes the three traced passes
 #                 (ingest-journal, fwd-fattree32, churn-microloop) and
 #                 fails a pass whose layer spans cover less of its
 #                 timed region than the workload's margin; it must
@@ -154,36 +157,10 @@ go test -race -run 'TestCluster|TestAgents|TestAsymmetric|TestFullPartition' -co
 echo "==> oracle gate under race (every scenario x 1/4/16 workers + multi-seed property sweep + incremental truth)"
 go test -race -run 'TestOracle' -count 1 ./internal/scenario ./internal/verify
 
-echo "==> fuzz smoke (internal/bitpack, 5s per target)"
-go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/bitpack
-go test -run '^$' -fuzz '^FuzzWriterRoundTrip$' -fuzztime 5s ./internal/bitpack
+echo "==> fuzz smoke (make fuzz: every fuzz target, 5s or 10s each)"
+make fuzz
 
-echo "==> fuzz smoke (internal/core header decoder and visit sequences, 5s per target)"
-go test -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 5s ./internal/core
-go test -run '^$' -fuzz '^FuzzVisitSequence$' -fuzztime 5s ./internal/core
-
-echo "==> fuzz smoke (internal/routing incremental engine vs from-scratch reference, 5s)"
-go test -run '^$' -fuzz '^FuzzStepReference$' -fuzztime 5s ./internal/routing
-
-echo "==> fuzz smoke (internal/dataplane shortest-path installer vs reference, 5s)"
-go test -run '^$' -fuzz '^FuzzInstallShortestPaths$' -fuzztime 5s ./internal/dataplane
-
-echo "==> fuzz smoke (internal/collectorsvc journal recovery vs reference recovery, 5s)"
-go test -run '^$' -fuzz '^FuzzRecoverReference$' -fuzztime 5s ./internal/collectorsvc
-
-echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
-go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane
-
-echo "==> fuzz smoke (internal/collectorsvc report frames, 10s)"
-go test -run '^$' -fuzz '^FuzzReportFrame$' -fuzztime 10s ./internal/collectorsvc
-
-echo "==> fuzz smoke (internal/collectorsvc journal segments, 10s)"
-go test -run '^$' -fuzz '^FuzzJournalSegment$' -fuzztime 10s ./internal/collectorsvc
-
-echo "==> fuzz smoke (internal/verify static FIB classifier vs naive reference, 10s)"
-go test -run '^$' -fuzz '^FuzzVerifyFIB$' -fuzztime 10s ./internal/verify
-
-echo "==> perfbench (own module: vet, tests, 1 s run of each workload, 6 s traced run)"
+echo "==> perfbench (own module: vet, tests, 1 s run of each workload, 30 s traced run)"
 (cd perfbench && go vet ./... && go test ./...)
 for w in fwd-fattree32 churn-microloop ingest-journal; do
 	last="$(bash perfbench/run.sh --workload "$w" --seconds 1 --trace 0 | tail -n 1)"
@@ -197,7 +174,7 @@ for w in fwd-fattree32 churn-microloop ingest-journal; do
 	esac
 done
 traced_out="$vettool_dir/traced.out"
-if ! bash perfbench/run.sh --workload ingest-journal --seconds 6 --trace 1 >"$traced_out"; then
+if ! bash perfbench/run.sh --workload ingest-journal --seconds 30 --trace 1 >"$traced_out"; then
 	grep -E '^# (CHECK FAILED|[a-z0-9-]+: trace overhead)' "$traced_out" >&2 || true
 	echo "perfbench traced run: exited nonzero" >&2
 	exit 1

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -446,5 +447,56 @@ func TestClusterOneMemberJournaledRestart(t *testing.T) {
 	n.AdminHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/healthz", nil))
 	if rr.Code != http.StatusOK || strings.TrimSpace(rr.Body.String()) != "ready" {
 		t.Errorf("/healthz: status %d body %q, want 200 ready", rr.Code, rr.Body.String())
+	}
+}
+
+// TestClusterClientDropsUnencodableReports: through the cluster client
+// too, a report the wire cannot carry is counted as dropped by its
+// partition's sender when it is sent, and the valid reports around it
+// are acked without any sender reconnecting.
+func TestClusterClientDropsUnencodableReports(t *testing.T) {
+	const partitions = 4
+	n, err := StartNode(NodeConfig{
+		ID:         "solo",
+		Partitions: partitions,
+		VNodes:     4,
+		Seed:       7,
+		Server:     collectorsvc.ServerConfig{Shards: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	c, err := NewClient(ClientConfig{Seeds: []string{n.ClusterAddr()}, Partitions: partitions, VNodes: 4, Seed: 7, ID: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		ev  dataplane.LoopEvent
+		hop int
+	}{
+		{dataplane.LoopEvent{Flow: 1, Members: make([]detect.SwitchID, collectorsvc.MaxMembers+1)}, 2},
+		{dataplane.LoopEvent{Flow: 2}, math.MaxUint32 + 1},
+		{dataplane.LoopEvent{Flow: 3, Node: -1}, 2},
+	}
+	const valid = 60
+	for i := 0; i < valid; i++ {
+		c.Send(dataplane.LoopEvent{Report: detect.Report{Reporter: 3, Hops: 2}, Flow: uint32(100 + i)}, 2)
+		if k := i / 10; i%10 == 0 && k < len(bad) {
+			c.Send(bad[k].ev, bad[k].hop)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Acked != valid || st.Dropped != uint64(len(bad)) || st.Enqueued != st.Acked+st.Dropped {
+		t.Errorf("acked %d, dropped %d of %d enqueued; want %d acked and the %d unencodable dropped", st.Acked, st.Dropped, st.Enqueued, valid, len(bad))
+	}
+	if st.Connects > partitions || st.Retransmits != 0 {
+		t.Errorf("%d connects, %d retransmits; want at most one connection per partition sender and nothing re-sent", st.Connects, st.Retransmits)
+	}
+	if got := n.Server().Stats(); got.Ingested != valid {
+		t.Errorf("node ingested %d, want %d", got.Ingested, valid)
 	}
 }

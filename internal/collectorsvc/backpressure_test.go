@@ -14,7 +14,7 @@ import (
 func shrinkQueues(srv *Server, depth int) {
 	for _, sh := range srv.shards {
 		sh.mu.Lock()
-		sh.ring, sh.head, sh.n = make([]shardItem, depth), 0, 0
+		sh.ring, sh.head, sh.n = make([]item, depth), 0, 0
 		sh.mu.Unlock()
 	}
 }
@@ -26,7 +26,7 @@ func shrinkQueues(srv *Server, depth int) {
 func holdWorkers(srv *Server) (release func()) {
 	b := &shardBarrier{reached: make(chan struct{}, len(srv.shards)), resume: make(chan struct{})}
 	for _, sh := range srv.shards {
-		sh.pushBatch([]shardItem{{barrier: b}})
+		sh.pushBarrier(b)
 	}
 	for range srv.shards {
 		<-b.reached
@@ -302,14 +302,14 @@ func TestShardPushGrowsFullRing(t *testing.T) {
 	sh := newShard(dataplane.ControllerConfig{}, 4, DefaultMaxFlows)
 	// No worker: pop by hand to wrap the head.
 	for f := uint32(1); f <= 4; f++ {
-		sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: f}}})
+		sh.pushBatch([]item{{flow: f}})
 	}
-	if _, ok := sh.popBatch(make([]shardItem, 0, 2)); !ok {
+	if _, ok := sh.popBatch(make([]item, 0, 2)); !ok {
 		t.Fatal("popBatch on a full queue reported closed")
 	}
-	sh.pushBatch([]shardItem{{tick: true}})
-	sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: 5}}})
-	sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: 6}}}) // the ring is full: it grows
+	sh.pushBatch([]item{{kind: itemTick}})
+	sh.pushBatch([]item{{flow: 5}})
+	sh.pushBatch([]item{{flow: 6}}) // the ring is full: it grows
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if len(sh.ring) != 8 || sh.n != 5 {
@@ -318,8 +318,8 @@ func TestShardPushGrowsFullRing(t *testing.T) {
 	want := []uint32{3, 4, 0, 5, 6} // 0 marks the tick
 	for i, f := range want {
 		it := sh.ring[(sh.head+i)%len(sh.ring)]
-		if it.tick != (f == 0) || it.ev.Flow != f {
-			t.Fatalf("slot %d holds tick=%v flow=%d, want flow %d", i, it.tick, it.ev.Flow, f)
+		if (it.kind == itemTick) != (f == 0) || it.flow != f {
+			t.Fatalf("slot %d holds kind %d flow %d, want flow %d", i, it.kind, it.flow, f)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func readAcks(t *testing.T, conn net.Conn, timeout time.Duration) []uint64 {
 		if f.Type != FrameAck {
 			t.Fatalf("unexpected frame type %d from server", f.Type)
 		}
-		acks = append(acks, f.Seq)
+		acks = append(acks, f.seq)
 	}
 }
 

@@ -108,16 +108,6 @@ type ClientStats struct {
 	DialFailures uint64 `json:"dial_failures"`
 }
 
-// clientItem is one queued frame-to-be: a report or a tick. seq is
-// assigned when the item first reaches the wire and kept across
-// retransmissions.
-type clientItem struct {
-	ev   dataplane.LoopEvent
-	hop  int
-	tick bool
-	seq  uint64
-}
-
 // Client is a reconnecting, batching sender of loop reports. Send never
 // blocks on the network; a background goroutine owns the connection
 // lifecycle. Safe for concurrent use.
@@ -126,7 +116,7 @@ type Client struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	unsent      itemRing // not yet written; at most cfg.Buffer items
+	unsent      itemRing // not yet written; at most cfg.Buffer items; seq unset
 	inflight    itemRing // sent, awaiting ack; FIFO by seq; at most cfg.Window items
 	nextSeq     uint64
 	stats       ClientStats
@@ -205,28 +195,32 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Send enqueues one loop report (hop is the reporting packet's journey
 // hop count — the dedup context). Never blocks on the network: a full
-// buffer drops the oldest unsent event, counted.
+// buffer drops the oldest unsent event, counted. A report the wire
+// cannot carry (see AppendReport) is counted as dropped at once, so
+// every queued item encodes and one bad report cannot stall the stream.
+// The queued report shares ev's Members.
 func (c *Client) Send(ev dataplane.LoopEvent, hop int) {
-	c.enqueue(clientItem{ev: ev, hop: hop})
+	it, err := reportItem(ev, hop)
+	c.enqueue(it, err == nil)
 }
 
 // Tick enqueues an epoch-boundary tick, ordered with the reports around
 // it. Meaningful only when this client is the collector's single feeder.
 func (c *Client) Tick() {
-	c.enqueue(clientItem{tick: true})
+	c.enqueue(item{kind: itemTick}, true)
 }
 
-func (c *Client) enqueue(it clientItem) {
+// enqueue queues it, or counts it as dropped when ok is false (the wire
+// cannot carry it) or Close has begun; either way the accounting
+// identity holds.
+func (c *Client) enqueue(it item, ok bool) {
 	c.mu.Lock()
-	if c.closing || c.aborted {
-		// Late events after Close are dropped and counted, preserving
-		// the accounting identity.
-		c.stats.Enqueued++
+	c.stats.Enqueued++
+	if !ok || c.closing || c.aborted {
 		c.stats.Dropped++
 		c.mu.Unlock()
 		return
 	}
-	c.stats.Enqueued++
 	if c.unsent.len() >= c.cfg.Buffer {
 		c.unsent.pop()
 		c.stats.Dropped++
@@ -429,7 +423,7 @@ func (c *Client) stream(conn net.Conn) {
 				break
 			}
 			if f.Type == FrameAck {
-				c.ack(f.Seq)
+				c.ack(f.seq)
 			}
 		}
 		c.mu.Lock()
@@ -457,39 +451,39 @@ func (c *Client) stream(conn net.Conn) {
 	c.hbDue = false
 	c.mu.Unlock()
 
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	buf = AppendHello(buf[:0], c.cfg.ID)
-	if _, err := bw.Write(buf); err != nil {
-		return
+	// write sends buf and flushes it, each step deadline-armed, and
+	// re-arms the heartbeat timer. Every write is whole frames encoded
+	// into one buffer, so the connection's write-path syscalls and
+	// deadline churn scale with batches, not frames.
+	write := func() bool {
+		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		if _, err := bw.Write(buf); err != nil {
+			return false
+		}
+		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		if err := bw.Flush(); err != nil {
+			return false
+		}
+		hbTimer.Reset(c.cfg.HeartbeatEvery)
+		return true
 	}
 
-	// Retransmit the in-flight window (frames sent on the previous
-	// connection whose acks never arrived). The server discards the
-	// already-accounted prefix by sequence number. The whole window is
-	// encoded into one buffer and written in one deadline-armed call —
-	// the same coalescing the batch loop below uses.
+	// The hello, then the in-flight window: frames sent on the previous
+	// connection whose acks never arrived. The server discards the
+	// already-accounted prefix by sequence number.
 	c.mu.Lock()
 	resend := c.inflight.appendTo(nil)
 	c.stats.Retransmits += uint64(len(resend))
 	c.mu.Unlock()
-	var err error
-	buf = buf[:0]
-	for _, it := range resend {
-		if buf, err = appendItem(buf, it); err != nil {
-			return
-		}
+	buf = AppendHello(buf[:0], c.cfg.ID)
+	for i := range resend {
+		buf = resend[i].appendFrame(buf)
 	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if _, err = bw.Write(buf); err != nil {
+	if !write() {
 		return
 	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err = bw.Flush(); err != nil {
-		return
-	}
-	hbTimer.Reset(c.cfg.HeartbeatEvery)
 
-	batch := make([]clientItem, 0, c.cfg.Batch)
+	batch := make([]item, 0, c.cfg.Batch)
 	for {
 		batch = batch[:0]
 		heartbeat := false
@@ -547,45 +541,17 @@ func (c *Client) stream(conn net.Conn) {
 		seq := c.nextSeq
 		c.mu.Unlock()
 
-		if heartbeat {
-			conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-			buf = AppendHeartbeat(buf[:0], seq)
-			if _, err = bw.Write(buf); err != nil {
-				return
-			}
-			if err = bw.Flush(); err != nil {
-				return
-			}
-			hbTimer.Reset(c.cfg.HeartbeatEvery)
-			continue
-		}
-		// Encode the whole batch into one buffer and write it with one
-		// deadline arm: the connection's write-path syscalls and deadline
-		// churn scale with batches, not frames.
 		buf = buf[:0]
-		for _, it := range batch {
-			if buf, err = appendItem(buf, it); err != nil {
-				return
-			}
+		if heartbeat {
+			buf = AppendHeartbeat(buf, seq)
 		}
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if _, err = bw.Write(buf); err != nil {
+		for i := range batch {
+			buf = batch[i].appendFrame(buf)
+		}
+		if !write() {
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if err = bw.Flush(); err != nil {
-			return
-		}
-		hbTimer.Reset(c.cfg.HeartbeatEvery)
 	}
-}
-
-// appendItem encodes one queued item as its wire frame.
-func appendItem(dst []byte, it clientItem) ([]byte, error) {
-	if it.tick {
-		return AppendTick(dst, it.seq), nil
-	}
-	return AppendReport(dst, it.seq, it.ev, it.hop)
 }
 
 // ack releases the in-flight prefix up to seq.
@@ -603,13 +569,14 @@ func (c *Client) ack(seq uint64) {
 	}
 }
 
-// itemRing is a FIFO of client items on a power-of-two ring that grows
-// by doubling when full. Nothing is allocated until the first push, and
-// callers bound the length (Buffer for unsent, Window for in flight),
-// so a ring never outgrows the smallest power of two at or above its
-// bound. Popping zeroes the slot, releasing the event's Members slice.
+// itemRing is a FIFO of items, each a report or a tick already checked
+// to encode, on a power-of-two ring that grows by doubling when full.
+// Nothing is allocated until the first push, and callers bound the
+// length (Buffer for unsent, Window for in flight), so a ring never
+// outgrows the smallest power of two at or above its bound. Popping
+// zeroes the slot, releasing the report's members.
 type itemRing struct {
-	buf  []clientItem
+	buf  []item
 	head int
 	n    int
 }
@@ -620,9 +587,9 @@ const itemRingMin = 16
 func (r *itemRing) len() int { return r.n }
 
 // push appends it at the back, growing the ring if it is full.
-func (r *itemRing) push(it clientItem) {
+func (r *itemRing) push(it item) {
 	if r.n == len(r.buf) {
-		buf := make([]clientItem, max(2*len(r.buf), itemRingMin))
+		buf := make([]item, max(2*len(r.buf), itemRingMin))
 		r.appendTo(buf[:0])
 		r.buf, r.head = buf, 0
 	}
@@ -631,19 +598,19 @@ func (r *itemRing) push(it clientItem) {
 }
 
 // front returns the oldest item. The ring must not be empty.
-func (r *itemRing) front() *clientItem { return &r.buf[r.head] }
+func (r *itemRing) front() *item { return &r.buf[r.head] }
 
 // pop removes and returns the oldest item. The ring must not be empty.
-func (r *itemRing) pop() clientItem {
+func (r *itemRing) pop() item {
 	it := r.buf[r.head]
-	r.buf[r.head] = clientItem{}
+	r.buf[r.head] = item{}
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return it
 }
 
 // appendTo appends the items, oldest first, to dst.
-func (r *itemRing) appendTo(dst []clientItem) []clientItem {
+func (r *itemRing) appendTo(dst []item) []item {
 	end := r.head + r.n
 	if end <= len(r.buf) {
 		return append(dst, r.buf[r.head:end]...)

@@ -2,6 +2,7 @@ package collectorsvc
 
 import (
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -169,11 +170,11 @@ func TestItemRingMatchesSlice(t *testing.T) {
 			capLimit *= 2
 		}
 		var ring itemRing
-		var model []clientItem
+		var model []item
 		for op := 0; op < 5000; op++ {
 			switch k := r.Intn(10); {
 			case k < 5: // enqueue, dropping the oldest at the bound
-				it := clientItem{ev: dataplane.LoopEvent{Flow: uint32(op), Members: []detect.SwitchID{detect.SwitchID(op)}}, hop: op, seq: uint64(op)}
+				it := item{flow: uint32(op), members: []detect.SwitchID{detect.SwitchID(op)}, hop: uint32(op), seq: uint64(op)}
 				if ring.len() >= bound {
 					if got := ring.pop(); !reflect.DeepEqual(got, model[0]) {
 						t.Fatalf("seed %d op %d: dropped %+v, model %+v", seed, op, got, model[0])
@@ -204,10 +205,61 @@ func TestItemRingMatchesSlice(t *testing.T) {
 				t.Fatalf("seed %d op %d: ring of %d slots for a bound of %d", seed, op, len(ring.buf), bound)
 			}
 			for i := ring.n; i < len(ring.buf); i++ {
-				if s := &ring.buf[(ring.head+i)&(len(ring.buf)-1)]; s.ev.Members != nil || s.seq != 0 {
+				if s := &ring.buf[(ring.head+i)&(len(ring.buf)-1)]; s.members != nil || s.seq != 0 {
 					t.Fatalf("seed %d op %d: free slot %d still holds %+v", seed, op, i, *s)
 				}
 			}
 		}
+	}
+}
+
+// unencodable lists reports the wire cannot carry, each beside the hop
+// it is sent at: too many members, and a hop, report hop count or node
+// outside [0, 2^32).
+var unencodable = []struct {
+	ev  dataplane.LoopEvent
+	hop int
+}{
+	{dataplane.LoopEvent{Flow: 1, Members: make([]detect.SwitchID, MaxMembers+1)}, 2},
+	{dataplane.LoopEvent{Flow: 2}, math.MaxUint32 + 1},
+	{dataplane.LoopEvent{Flow: 3}, -1},
+	{dataplane.LoopEvent{Flow: 4, Node: math.MaxUint32 + 1}, 2},
+	{dataplane.LoopEvent{Flow: 5, Report: detect.Report{Hops: -2}}, 2},
+}
+
+// TestClientDropsUnencodableReports: a report the wire cannot carry is
+// counted as dropped when it is sent, so it never reaches a ring and the
+// valid reports around it are acked over the one connection, without a
+// reconnect or a retransmit.
+func TestClientDropsUnencodableReports(t *testing.T) {
+	srv := NewServer(ServerConfig{Shards: 2})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	c, err := NewClient(ClientConfig{Addr: addr.String(), ID: 9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const valid = 40
+	for i := 0; i < valid; i++ {
+		c.Send(dataplane.LoopEvent{Report: detect.Report{Reporter: 3, Hops: 2}, Flow: uint32(100 + i)}, 2)
+		if k := i / 4; i%4 == 0 && k < len(unencodable) {
+			c.Send(unencodable[k].ev, unencodable[k].hop)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Acked != valid || st.Dropped != uint64(len(unencodable)) || st.Enqueued != st.Acked+st.Dropped {
+		t.Errorf("acked %d, dropped %d of %d enqueued; want %d acked and the %d unencodable dropped", st.Acked, st.Dropped, st.Enqueued, valid, len(unencodable))
+	}
+	if st.Connects != 1 || st.Retransmits != 0 {
+		t.Errorf("%d connects, %d retransmits; want one connection and nothing re-sent", st.Connects, st.Retransmits)
+	}
+	if got := srv.Stats(); got.Ingested != valid || got.BadFrames != 0 {
+		t.Errorf("server ingested %d with %d bad frames, want %d and 0", got.Ingested, got.BadFrames, valid)
 	}
 }

@@ -223,19 +223,19 @@ func TestWireDedupNearMaxHop(t *testing.T) {
 			t.Fatal(err)
 		}
 		f, _, err := DecodeFrame(buf)
-		if err != nil || f.Hop != hop {
-			t.Fatalf("report %d: hop %d decoded as %d, %v", i, hop, f.Hop, err)
+		if err != nil || int(f.hop) != hop {
+			t.Fatalf("report %d: hop %d decoded as %d, %v", i, hop, f.hop, err)
 		}
-		m := models[f.Event.Flow]
+		m := models[f.flow]
 		if m == nil {
 			m = new(intWindow)
-			models[f.Event.Flow] = m
+			models[f.flow] = m
 		}
 		before := sh.ctrl.Stats().Deduped
-		sh.ctrl.DeliverFlow(f.Event, sh.window(f.Event.Flow), f.Hop)
+		sh.ctrl.DeliverFlow(f.event(), sh.window(f.flow), int(f.hop))
 		got := sh.ctrl.Stats().Deduped == before
-		if want := m.deliver(int(f.Event.Reporter), f.Hop, cfg.DedupWindow); got != want {
-			t.Fatalf("report %d (flow %d, reporter %d, hop %d): admitted %v, int window %v", i, f.Event.Flow, f.Event.Reporter, hop, got, want)
+		if want := m.deliver(int(f.reporter), int(f.hop), cfg.DedupWindow); got != want {
+			t.Fatalf("report %d (flow %d, reporter %d, hop %d): admitted %v, int window %v", i, f.flow, f.reporter, hop, got, want)
 		}
 	}
 	for flow, m := range models {

@@ -24,6 +24,9 @@ import (
 //     error class;
 //   - anything that decodes successfully re-encodes to bytes that decode
 //     to the identical frame (the codec is self-consistent);
+//   - a decoded report's item re-encodes to the very frame bytes it was
+//     decoded from, and the journal sub-record written from that item
+//     decodes back to an equal item: one item serves both codecs;
 //   - encode then decode is the identity or an error: a report whose
 //     hop, report hops and node are read from the input's first 24
 //     bytes (as signed 64-bit values) is either refused with ErrBadFrame
@@ -62,7 +65,7 @@ func FuzzReportFrame(f *testing.F) {
 				if !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("encoding hop %d, report hops %d, node %d: %v, want ErrBadFrame", hop, ev.Hops, ev.Node, err)
 				}
-			} else if back, _, err := DecodeFrame(out); err != nil || back.Hop != hop || back.Event.Hops != ev.Hops || back.Event.Node != ev.Node {
+			} else if back, _, err := DecodeFrame(out); err != nil || int(back.hop) != hop || back.event().Hops != ev.Hops || back.event().Node != ev.Node {
 				t.Fatalf("hop %d, report hops %d, node %d decoded as %+v, %v", hop, ev.Hops, ev.Node, back, err)
 			}
 		}
@@ -96,6 +99,21 @@ func FuzzReportFrame(f *testing.F) {
 			t.Fatalf("decoders disagree on frame: %+v vs %+v", df, sf)
 		}
 
+		if df.Type == FrameReport {
+			if out := df.appendFrame(nil); !bytes.Equal(out, data[:dn]) {
+				t.Fatalf("report item re-encodes to %x, decoded from %x", out, data[:dn])
+			}
+			var rec journalRecord
+			n := 0
+			err := eachRecord(append([]byte{jrecBatch}, appendJournalItem(nil, 5, &df.item)...), &rec, func() error {
+				n++
+				return nil
+			})
+			if err != nil || n != 1 || rec.kind != jrecReport || rec.clientID != 5 || !reflect.DeepEqual(rec.it, df.item) {
+				t.Fatalf("journal sub-record of %+v decoded as %d records, kind %d, client %d, %+v, %v", df.item, n, rec.kind, rec.clientID, rec.it, err)
+			}
+		}
+
 		// Re-encode and decode again: the codec must be a fixed point.
 		var out []byte
 		var err error
@@ -103,13 +121,13 @@ func FuzzReportFrame(f *testing.F) {
 		case FrameHello:
 			out = AppendHello(nil, df.ClientID)
 		case FrameReport:
-			out, err = AppendReport(nil, df.Seq, df.Event, df.Hop)
+			out, err = AppendReport(nil, df.seq, df.event(), int(df.hop))
 		case FrameTick:
-			out = AppendTick(nil, df.Seq)
+			out = AppendTick(nil, df.seq)
 		case FrameAck:
-			out = AppendAck(nil, df.Seq)
+			out = AppendAck(nil, df.seq)
 		case FrameHeartbeat:
-			out = AppendHeartbeat(nil, df.Seq)
+			out = AppendHeartbeat(nil, df.seq)
 		default:
 			t.Fatalf("decoder produced unknown type %d", df.Type)
 		}

@@ -448,21 +448,14 @@ func (j *Journal) appendLocked(rec []byte, recs int) {
 	j.dirty = true
 }
 
-// batchReportLocked adds one report to the open batch frame, opening
-// one if none is — the batch-append API: the server's ingest loop calls
-// it, or batchTickLocked, once per newly accounted frame while holding
-// mu across the whole batch, and then sealBatchLocked writes the batch
-// as one frame. A batch costs zero allocations and one CRC, and one
-// Commit (one flush, and under FsyncAlways one fsync) covers it.
-func (j *Journal) batchReportLocked(clientID, seq uint64, ev LoopEventRecord, hop int) {
-	j.batch = appendJournalReport(j.openBatchLocked(), clientID, seq, ev, hop)
-	j.batchN++
-}
-
-// batchTickLocked adds one tick to the open batch frame; see
-// batchReportLocked.
-func (j *Journal) batchTickLocked(clientID, seq uint64) {
-	j.batch = appendJournalTick(j.openBatchLocked(), clientID, seq)
+// batchAppendLocked adds one report or tick to the open batch frame,
+// opening one if none is — the batch-append API: the server's ingest
+// loop calls it once per newly accounted frame while holding mu across
+// the whole batch, and then sealBatchLocked writes the batch as one
+// frame. A batch costs zero allocations and one CRC, and one Commit (one
+// flush, and under FsyncAlways one fsync) covers it.
+func (j *Journal) batchAppendLocked(clientID uint64, it *item) {
+	j.batch = appendJournalItem(j.openBatchLocked(), clientID, it)
 	j.batchN++
 }
 
@@ -597,15 +590,12 @@ func (j *Journal) syncLoop() {
 }
 
 // journalRecord is one replayed frame, or one record of it, decoded.
-// Only the fields of its kind are set: clientID and seq for a tick,
-// those plus hop and ev for a report, snap for a snapshot, batch for a
-// batch frame.
+// Only the fields of its kind are set: clientID and it for a report or
+// a tick, snap for a snapshot, batch for a batch frame.
 type journalRecord struct {
 	kind     uint8
 	clientID uint64
-	seq      uint64
-	hop      int
-	ev       LoopEventRecord
+	it       item
 	snap     *journalSnapshot
 	// batch is a batch frame's sub-records, and n the records the frame
 	// holds: a batch's sub-records, else 1.
@@ -621,16 +611,6 @@ type journalRecord struct {
 	superseded bool
 }
 
-// LoopEventRecord mirrors dataplane.LoopEvent's journaled fields.
-// (Defined locally so the journal codec is self-contained for fuzzing.)
-type LoopEventRecord struct {
-	Flow     uint32
-	Reporter uint32
-	Hops     int
-	Node     int
-	Members  []uint32
-}
-
 // Replay iterates every retained segment in order, decoding each frame
 // and passing it to apply; it stops at the first error apply returns
 // and returns it. A batch frame is passed whole, as rec.batch, once
@@ -640,15 +620,15 @@ type LoopEventRecord struct {
 // already truncated at open.
 //
 // Every frame is decoded into the same journalRecord, so apply must
-// copy what it keeps of rec, Members included. When the last segment
-// begins with a snapshot, that snapshot supersedes every earlier
-// segment: Replay marks their frames rec.superseded and reads them in
-// pieces through one reused buffer, so their bytes, rec.snap's flow
-// section among them, are valid only until apply returns, and rec.seg
-// is nil. Otherwise three things outlive the call: rec.snap, decoded
-// afresh for each snapshot, and rec.seg and rec.batch, a segment buffer
-// Replay never reuses or writes (rec.snap's flow section points into it
-// too).
+// copy what it keeps of rec, the members of rec.it included. When the
+// last segment begins with a snapshot, that snapshot supersedes every
+// earlier segment: Replay marks their frames rec.superseded and reads
+// them in pieces through one reused buffer, so their bytes, rec.snap's
+// flow section among them, are valid only until apply returns, and
+// rec.seg is nil. Otherwise three things outlive the call: rec.snap,
+// decoded afresh for each snapshot, and rec.seg and rec.batch, a
+// segment buffer Replay never reuses or writes (rec.snap's flow section
+// points into it too).
 //
 // The last segment is read once: from the bytes OpenJournal's torn-tail
 // scan read, unless records were appended since. The journal keeps no
@@ -848,29 +828,23 @@ func (j *Journal) Stats() JournalStats {
 
 // --- record payload codecs ---
 
-// appendJournalReport encodes a report record payload.
-func appendJournalReport(dst []byte, clientID, seq uint64, ev LoopEventRecord, hop int) []byte {
+// appendJournalItem encodes client clientID's report or tick it as a
+// record payload: a jrecReport or a jrecTick.
+func appendJournalItem(dst []byte, clientID uint64, it *item) []byte {
+	if it.kind == itemTick {
+		dst = append(dst, jrecTick)
+		dst = binary.BigEndian.AppendUint64(dst, clientID)
+		return binary.BigEndian.AppendUint64(dst, it.seq)
+	}
 	dst = append(dst, jrecReport)
 	dst = binary.BigEndian.AppendUint64(dst, clientID)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(hop))
-	dst = binary.BigEndian.AppendUint32(dst, ev.Flow)
-	dst = binary.BigEndian.AppendUint32(dst, ev.Reporter)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Hops))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Node))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ev.Members)))
-	for _, m := range ev.Members {
-		dst = binary.BigEndian.AppendUint32(dst, m)
-	}
-	return dst
-}
-
-// appendJournalTick encodes a tick record payload.
-func appendJournalTick(dst []byte, clientID, seq uint64) []byte {
-	dst = append(dst, jrecTick)
-	dst = binary.BigEndian.AppendUint64(dst, clientID)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return dst
+	dst = binary.BigEndian.AppendUint64(dst, it.seq)
+	dst = binary.BigEndian.AppendUint32(dst, it.hop)
+	dst = binary.BigEndian.AppendUint32(dst, it.flow)
+	dst = binary.BigEndian.AppendUint32(dst, it.reporter)
+	dst = binary.BigEndian.AppendUint32(dst, it.hops)
+	dst = binary.BigEndian.AppendUint32(dst, it.node)
+	return appendMembers(dst, it.members)
 }
 
 // journalSnapshot is the decoded snapshot payload: the consistent cut a
@@ -1007,8 +981,10 @@ func appendDedupEntries(dst []dataplane.DedupEntry, window []byte) []dataplane.D
 var errBadJournalRecord = errors.New("collectorsvc: malformed journal record")
 
 // decodeJournalPayload parses one record payload (CRC already checked)
-// into rec, reusing rec's Members buffer. A snapshot is decoded into a
-// fresh journalSnapshot whose flow section points into p.
+// into rec. A report's members go into the storage of rec.it.members
+// when it has room (set it to nil to have them in a slice of their
+// own). A snapshot is decoded into a fresh journalSnapshot whose flow
+// section points into p.
 func decodeJournalPayload(p []byte, rec *journalRecord) error {
 	if len(p) < 1 {
 		return fmt.Errorf("%w: empty payload", errBadJournalRecord)
@@ -1021,13 +997,6 @@ func decodeJournalPayload(p []byte, rec *journalRecord) error {
 		if len(body) < fixed {
 			return fmt.Errorf("%w: report record of %d bytes, want at least %d", errBadJournalRecord, len(body), fixed)
 		}
-		rec.clientID = binary.BigEndian.Uint64(body)
-		rec.seq = binary.BigEndian.Uint64(body[8:])
-		rec.hop = int(binary.BigEndian.Uint32(body[16:]))
-		rec.ev.Flow = binary.BigEndian.Uint32(body[20:])
-		rec.ev.Reporter = binary.BigEndian.Uint32(body[24:])
-		rec.ev.Hops = int(binary.BigEndian.Uint32(body[28:]))
-		rec.ev.Node = int(binary.BigEndian.Uint32(body[32:]))
 		count := int(binary.BigEndian.Uint16(body[36:]))
 		if count > MaxMembers {
 			return fmt.Errorf("%w: %d members exceeds cap %d", errBadJournalRecord, count, MaxMembers)
@@ -1035,16 +1004,24 @@ func decodeJournalPayload(p []byte, rec *journalRecord) error {
 		if len(body) != fixed+4*count {
 			return fmt.Errorf("%w: report record of %d bytes for %d members", errBadJournalRecord, len(body), count)
 		}
-		rec.ev.Members = rec.ev.Members[:0]
-		for i := 0; i < count; i++ {
-			rec.ev.Members = append(rec.ev.Members, binary.BigEndian.Uint32(body[fixed+4*i:]))
-		}
+		// Field by field: rec is on the heap, and a whole-item store
+		// costs a copy with write barriers.
+		it := &rec.it
+		rec.clientID = binary.BigEndian.Uint64(body)
+		it.seq = binary.BigEndian.Uint64(body[8:])
+		it.hop = binary.BigEndian.Uint32(body[16:])
+		it.flow = binary.BigEndian.Uint32(body[20:])
+		it.reporter = binary.BigEndian.Uint32(body[24:])
+		it.hops = binary.BigEndian.Uint32(body[28:])
+		it.node = binary.BigEndian.Uint32(body[32:])
+		it.kind = itemReport
+		it.members = decodeMembers(it.members, body[fixed:], count)
 	case jrecTick:
 		if len(body) != journalTickLen-1 {
 			return fmt.Errorf("%w: tick record of %d bytes, want %d", errBadJournalRecord, len(body), journalTickLen-1)
 		}
 		rec.clientID = binary.BigEndian.Uint64(body)
-		rec.seq = binary.BigEndian.Uint64(body[8:])
+		rec.it.seq, rec.it.kind = binary.BigEndian.Uint64(body[8:]), itemTick
 	case jrecSnapshot:
 		snap, err := decodeSnapshot(body)
 		if err != nil {

@@ -32,12 +32,19 @@ func openTestJournal(t *testing.T, cfg JournalConfig) *Journal {
 // appendReport appends a batch of one report and commits it, the way
 // the server's ingest path does.
 func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
-	ev := LoopEventRecord{Flow: flow, Reporter: flow + 1, Hops: 3, Node: 7, Members: []uint32{1, 2, 3}}
+	it := item{seq: seq, flow: flow, reporter: flow + 1, hops: 3, node: 7, hop: uint32(hop), members: []detect.SwitchID{1, 2, 3}}
 	j.mu.Lock()
-	j.batchReportLocked(clientID, seq, ev, hop)
+	j.batchAppendLocked(clientID, &it)
 	j.sealBatchLocked()
 	j.commitLocked()
 	j.mu.Unlock()
+}
+
+// jreport is client clientID's report payload for it, and jtick its
+// tick payload for seq.
+func jreport(clientID uint64, it item) []byte { return appendJournalItem(nil, clientID, &it) }
+func jtick(clientID, seq uint64) []byte {
+	return appendJournalItem(nil, clientID, &item{seq: seq, kind: itemTick})
 }
 
 // replayAll collects a copy of every replayed record, a batch frame's
@@ -74,7 +81,7 @@ func replayAll(t *testing.T, j *Journal) []*journalRecord {
 // does not keep.
 func copyRecord(rec *journalRecord) *journalRecord {
 	c := *rec
-	c.ev.Members = append([]uint32(nil), rec.ev.Members...)
+	c.it.members = append([]detect.SwitchID(nil), rec.it.members...)
 	if rec.snap != nil {
 		snap := *rec.snap
 		snap.flows = bytes.Clone(snap.flows)
@@ -116,7 +123,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	appendReport(j, 10, 1, 0xAABB, 4)
 	appendReport(j, 10, 2, 0xAABC, 5)
 	j.mu.Lock()
-	j.batchTickLocked(10, 3)
+	j.batchAppendLocked(10, &item{seq: 3, kind: itemTick})
 	j.sealBatchLocked()
 	j.commitLocked()
 	j.mu.Unlock()
@@ -133,13 +140,13 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("first record is kind %d, want genesis snapshot", recs[0].kind)
 	}
 	r := recs[1]
-	if r.kind != jrecReport || r.clientID != 10 || r.seq != 1 || r.ev.Flow != 0xAABB || r.hop != 4 {
+	if r.kind != jrecReport || r.clientID != 10 || r.it.seq != 1 || r.it.flow != 0xAABB || r.it.hop != 4 {
 		t.Errorf("report 1 decoded as %+v", r)
 	}
-	if len(r.ev.Members) != 3 || r.ev.Members[2] != 3 {
-		t.Errorf("report members decoded as %v", r.ev.Members)
+	if len(r.it.members) != 3 || r.it.members[2] != 3 {
+		t.Errorf("report members decoded as %v", r.it.members)
 	}
-	if recs[3].kind != jrecTick || recs[3].seq != 3 {
+	if recs[3].kind != jrecTick || recs[3].it.seq != 3 {
 		t.Errorf("tick decoded as %+v", recs[3])
 	}
 	if st := j2.Stats(); st.RecoveredRecords != 4 || st.RecoveredSnapshots != 1 {
@@ -196,7 +203,7 @@ func TestJournalRotationAndRetention(t *testing.T) {
 	var first uint64
 	for _, r := range recs[1:] {
 		if r.kind == jrecReport {
-			first = r.seq
+			first = r.it.seq
 			break
 		}
 	}
@@ -240,7 +247,7 @@ func TestJournalReplayReadsLastSegmentOnce(t *testing.T) {
 	}
 	j3 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
 	appendReport(j3, 7, 2, 101, 3)
-	if recs := replayAll(t, j3); len(recs) != 3 || recs[2].seq != 2 {
+	if recs := replayAll(t, j3); len(recs) != 3 || recs[2].it.seq != 2 {
 		t.Fatalf("replay after an append saw %d records, want 3 ending in the appended one", len(recs))
 	}
 }
@@ -258,7 +265,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	// Simulate the torn write: append half a record to the segment.
 	path := filepath.Join(dir, segName(1))
-	torn := appendJournalRecord(nil, appendJournalTick(nil, 7, 3))
+	torn := appendJournalRecord(nil, jtick(7, 3))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +290,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	j3 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
 	recs = replayAll(t, j3)
-	if len(recs) != 4 || recs[3].seq != 3 {
+	if len(recs) != 4 || recs[3].it.seq != 3 {
 		t.Fatalf("append after truncation not replayable: %d records", len(recs))
 	}
 }
@@ -435,15 +442,15 @@ func TestParseFsyncPolicy(t *testing.T) {
 // tolerance).
 func FuzzJournalSegment(f *testing.F) {
 	f.Add(appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot())))
-	f.Add(appendJournalRecord(nil, appendJournalTick(nil, 1, 2)))
-	rep := appendJournalRecord(nil, appendJournalReport(nil, 3, 4, LoopEventRecord{Flow: 5, Reporter: 6, Hops: 2, Node: 1, Members: []uint32{8, 9}}, 1))
+	f.Add(appendJournalRecord(nil, jtick(1, 2)))
+	rep := appendJournalRecord(nil, jreport(3, item{seq: 4, flow: 5, reporter: 6, hops: 2, node: 1, hop: 1, members: []detect.SwitchID{8, 9}}))
 	f.Add(rep)
 	f.Add(append(append([]byte(nil), rep...), rep[:7]...)) // torn tail
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	batch := appendJournalRecord(nil, testBatch(
-		appendJournalReport(nil, 3, 5, LoopEventRecord{Flow: 5, Reporter: 6, Hops: 2, Node: 1, Members: []uint32{8, 9, 10}}, 2),
-		appendJournalTick(nil, 3, 6),
-		appendJournalReport(nil, 3, 7, LoopEventRecord{Flow: 11, Reporter: 4, Hops: 3}, 0),
+		jreport(3, item{seq: 5, flow: 5, reporter: 6, hops: 2, node: 1, hop: 2, members: []detect.SwitchID{8, 9, 10}}),
+		jtick(3, 6),
+		jreport(3, item{seq: 7, flow: 11, reporter: 4, hops: 3, hop: 0}),
 	))
 	f.Add(append(append([]byte(nil), rep...), batch...))                   // a record, then a mixed batch
 	f.Add(append(append([]byte(nil), batch...), batch[:len(batch)-20]...)) // a batch, then a torn one
@@ -464,10 +471,8 @@ func FuzzJournalSegment(f *testing.F) {
 			}
 			err := eachRecord(p, &rec, func() error {
 				switch rec.kind {
-				case jrecReport:
-					round = appendJournalReport(round, rec.clientID, rec.seq, rec.ev, rec.hop)
-				case jrecTick:
-					round = appendJournalTick(round, rec.clientID, rec.seq)
+				case jrecReport, jrecTick:
+					round = appendJournalItem(round, rec.clientID, &rec.it)
 				case jrecSnapshot:
 					round = appendSnapshotHead(round, rec.snap, rec.snap.nFlows)
 					for _, f := range snapshotFlows(rec.snap) {
@@ -510,13 +515,14 @@ func BenchmarkJournalAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	ev := LoopEventRecord{Flow: 7, Reporter: 3, Hops: 12, Node: 2, Members: []uint32{1, 2, 3, 4}}
+	it := item{flow: 7, reporter: 3, hops: 12, node: 2, hop: 12, members: []detect.SwitchID{1, 2, 3, 4}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	const ackBatch = 64
 	for i := 0; i < b.N; i++ {
 		j.mu.Lock()
-		j.batchReportLocked(1, uint64(i)+1, ev, 12)
+		it.seq = uint64(i) + 1
+		j.batchAppendLocked(1, &it)
 		if i%ackBatch == ackBatch-1 || i == b.N-1 {
 			j.sealBatchLocked()
 			j.commitLocked()
@@ -524,7 +530,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 		j.mu.Unlock()
 	}
 	b.StopTimer()
-	b.SetBytes(int64(len(appendJournalReport(nil, 1, 1, ev, 12))))
+	b.SetBytes(int64(len(appendJournalItem(nil, 1, &it))))
 	if j.Failed() {
 		b.Fatalf("journal failed during benchmark: %+v", j.Stats())
 	}
@@ -547,13 +553,13 @@ func testBatch(subs ...[]byte) []byte {
 // carries members.
 func ingestTestBatches(t *testing.T, srv *Server, batches ...[]int) {
 	t.Helper()
-	groups := make([][]shardItem, len(srv.shards))
+	groups := make([][]item, len(srv.shards))
 	cs := srv.clientState(1)
 	for _, seqs := range batches {
-		var batch []batchItem
+		var batch []item
 		for _, q := range seqs {
 			if q < 0 {
-				batch = append(batch, batchItem{seq: uint64(-q), tick: true})
+				batch = append(batch, item{seq: uint64(-q), kind: itemTick})
 				continue
 			}
 			ev := dataplane.LoopEvent{Flow: uint32(q), Node: 1}
@@ -561,7 +567,7 @@ func ingestTestBatches(t *testing.T, srv *Server, batches ...[]int) {
 			if q%2 == 0 {
 				ev.Members = []detect.SwitchID{4, 5, detect.SwitchID(q)}
 			}
-			batch = append(batch, batchItem{seq: uint64(q), ev: ev, hop: q % 7})
+			batch = append(batch, testItem(uint64(q), ev, q%7))
 		}
 		srv.ingestBatch(cs, 1, batch, groups)
 		srv.journal.Commit()
@@ -575,7 +581,7 @@ func replaySeqs(t *testing.T, j *Journal) []uint64 {
 	var seqs []uint64
 	for _, rec := range replayAll(t, j) {
 		if rec.kind != jrecSnapshot {
-			seqs = append(seqs, rec.seq)
+			seqs = append(seqs, rec.it.seq)
 		}
 	}
 	return seqs
@@ -652,20 +658,20 @@ func TestJournalBatchFrames(t *testing.T) {
 // sits in a segment a later snapshot supersedes or at the tail of the
 // last segment.
 func TestJournalBadSubRecordCorrupt(t *testing.T) {
-	good := appendJournalReport(nil, 1, 1, LoopEventRecord{Flow: 9, Reporter: 2, Hops: 3, Members: []uint32{4}}, 4)
+	good := jreport(1, item{seq: 1, flow: 9, reporter: 2, hops: 3, hop: 4, members: []detect.SwitchID{4}})
 	bad := map[string][]byte{
 		"unknown kind":        {9, 0, 0},
 		"nested snapshot":     encodeSnapshot(nil, emptySnapshot()),
-		"short tick":          appendJournalTick(nil, 1, 2)[:16],
-		"report past the end": appendJournalReport(nil, 1, 2, LoopEventRecord{Flow: 9, Members: []uint32{1, 2}}, 4)[:45],
-		"members over cap": append(appendJournalReport(nil, 1, 2, LoopEventRecord{Flow: 9}, 4)[:journalReportLen-2],
+		"short tick":          jtick(1, 2)[:16],
+		"report past the end": jreport(1, item{seq: 2, flow: 9, hop: 4, members: []detect.SwitchID{1, 2}})[:45],
+		"members over cap": append(jreport(1, item{seq: 2, flow: 9, hop: 4})[:journalReportLen-2],
 			byte((MaxMembers+1)>>8), byte(MaxMembers+1)),
 	}
 	genesis := appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot()))
 	newest := appendJournalRecord(nil, encodeSnapshot(nil, &journalSnapshot{
 		Ingested: 2, Clients: []clientSeqEntry{{ID: 1, Spans: []SeqSpan{{First: 1, Last: 2}}}},
 	}))
-	tail := appendJournalRecord(nil, appendJournalTick(nil, 1, 3))
+	tail := appendJournalRecord(nil, jtick(1, 3))
 	for name, sub := range bad {
 		frame := appendJournalRecord(nil, testBatch(good, sub))
 		for where, segs := range map[string][][]byte{
@@ -736,8 +742,8 @@ func TestJournalRetentionKeepsUnremovableSegment(t *testing.T) {
 func TestScanSegmentFileMatchesScanRecords(t *testing.T) {
 	var seg []byte
 	for i := 0; len(seg) < 3*pieceBytes; i++ {
-		ev := LoopEventRecord{Flow: uint32(i), Reporter: 1, Hops: 2, Members: make([]uint32, i%5)}
-		seg = appendJournalRecord(seg, testBatch(appendJournalReport(nil, 1, uint64(i), ev, 3), appendJournalTick(nil, 1, uint64(i))))
+		it := item{seq: uint64(i), flow: uint32(i), reporter: 1, hops: 2, hop: 3, members: make([]detect.SwitchID, i%5)}
+		seg = appendJournalRecord(seg, testBatch(jreport(1, it), jtick(1, uint64(i))))
 		if i == 100 {
 			seg = appendJournalRecord(seg, make([]byte, pieceBytes+pieceBytes/2)) // longer than a piece
 		}

@@ -17,48 +17,15 @@ import (
 	"sort"
 
 	"github.com/unroller/unroller/internal/dataplane"
-	"github.com/unroller/unroller/internal/detect"
 	"github.com/unroller/unroller/internal/xhash"
 )
-
-// eventToRecord converts a live event to its journal representation.
-func eventToRecord(ev dataplane.LoopEvent) LoopEventRecord {
-	rec := LoopEventRecord{
-		Flow:     ev.Flow,
-		Reporter: uint32(ev.Reporter),
-		Hops:     ev.Hops,
-		Node:     ev.Node,
-	}
-	if len(ev.Members) > 0 {
-		rec.Members = make([]uint32, len(ev.Members))
-		for i, m := range ev.Members {
-			rec.Members[i] = uint32(m)
-		}
-	}
-	return rec
-}
-
-// recordToEvent is the inverse of eventToRecord.
-func recordToEvent(rec LoopEventRecord) dataplane.LoopEvent {
-	var ev dataplane.LoopEvent
-	ev.Flow = rec.Flow
-	ev.Reporter = detect.SwitchID(rec.Reporter)
-	ev.Hops = rec.Hops
-	ev.Node = rec.Node
-	if len(rec.Members) > 0 {
-		ev.Members = make([]detect.SwitchID, len(rec.Members))
-		for i, m := range rec.Members {
-			ev.Members[i] = detect.SwitchID(m)
-		}
-	}
-	return ev
-}
 
 // rotateWithSnapshotLocked rotates the journal segment with a
 // consistent snapshot at the new segment's head. Called from the ingest
 // path with j.mu held, which blocks every other account/append/enqueue;
 // it then quiesces the shard workers with barrier items so the queues
-// drain and the flow maps and controller stats stop moving. Lock order
+// drain and the flow maps and controller stats stop moving. Holding j.mu
+// is also what keeps one barrier per shard at a time. Lock order
 // is j.mu → s.mu → sh.mu, the same everywhere.
 func (s *Server) rotateWithSnapshotLocked(j *Journal) {
 	s.mu.Lock()
@@ -75,7 +42,7 @@ func (s *Server) rotateWithSnapshotLocked(j *Journal) {
 		resume:  make(chan struct{}),
 	}
 	for _, sh := range s.shards {
-		sh.pushBatch([]shardItem{{barrier: b}})
+		sh.pushBarrier(b)
 	}
 	for range s.shards {
 		//unroller:allow lockscope -- the barrier receive under s.mu IS the quiescence protocol: workers always drain it (Shutdown cannot stop them before this reader returns), and holding s.mu is what freezes the snapshot
@@ -261,10 +228,12 @@ func (st *StagedRecovery) Staged() int { return st.staged }
 // single-node path commits everything). Workers start and the server
 // leaves the recovering health state before returning.
 //
-// Delivery is batched per shard as the live shard worker batches it:
-// reports queue per shard for DeliverFlowBatch, and every shard is
-// flushed before a tick reaches the controllers, so each shard sees the
-// journal's order and every admission decision is unchanged.
+// Delivery is batched per shard as the live shard worker batches it,
+// through the same shard.appendDelivery: reports queue per shard for
+// DeliverFlowBatch, and every shard is flushed before a tick reaches
+// the controllers, so each shard sees the journal's order and every
+// admission decision is unchanged. Each report's members are decoded
+// into a slice of their own, which its delivered event keeps.
 func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Server, RecoveryStats, error) {
 	s := st.srv
 	batches := make([][]dataplane.FlowDelivery, len(s.shards))
@@ -276,18 +245,19 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 	}
 	var rec journalRecord
 	deliver := func() error {
-		if discard != nil && discard(rec.clientID, rec.seq) {
+		it := &rec.it
+		if discard != nil && discard(rec.clientID, it.seq) {
 			s.crossDupes.Add(1)
 			return nil
 		}
 		cs := s.clientState(rec.clientID)
-		if !cs.account(rec.seq) {
+		if !cs.account(it.seq) {
 			// Records are only appended for newly accounted frames, so a
 			// replayed duplicate means the journal and the snapshot
 			// disagree — refuse rather than double-count.
-			return fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
+			return fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, it.seq, rec.clientID)
 		}
-		if rec.kind == jrecTick {
+		if it.kind == itemTick {
 			s.ticks.Add(1)
 			for i, sh := range s.shards {
 				flush(i)
@@ -296,10 +266,9 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 			return nil
 		}
 		s.ingested.Add(1)
-		i := s.shardIndex(rec.ev.Flow)
-		batches[i] = append(batches[i], dataplane.FlowDelivery{
-			Ev: recordToEvent(rec.ev), W: s.shards[i].window(rec.ev.Flow), Hop: rec.hop,
-		})
+		i := s.shardIndex(it.flow)
+		batches[i] = s.shards[i].appendDelivery(batches[i], it)
+		it.members = nil // the event keeps them: the next report decodes into a slice of its own
 		if len(batches[i]) == shardDrainBatch {
 			flush(i)
 		}

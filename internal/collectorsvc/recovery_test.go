@@ -46,10 +46,10 @@ func TestCollectorFlowTableResetKeepsWindows(t *testing.T) {
 	sh := newShard(microloopController, 16, 2)
 	ref := dataplane.NewControllerWithConfig(microloopController)
 	const hop = 5
-	var batch []shardItem
+	var batch []item
 	for _, flow := range flows {
 		ev := dataplane.LoopEvent{Report: detect.Report{Reporter: 4, Hops: 3}, Flow: flow}
-		batch = append(batch, shardItem{ev: ev, hop: hop})
+		batch = append(batch, testItem(0, ev, hop))
 		ref.DeliverFlow(ev, &dataplane.DedupWindow{}, hop)
 	}
 	sh.pushBatch(batch)

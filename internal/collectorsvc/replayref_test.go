@@ -41,12 +41,14 @@ func referenceStage(cfg ServerConfig) (*refRecovery, error) {
 	stage := func(rec *journalRecord) {
 		switch rec.kind {
 		case jrecReport:
+			ev := rec.it.event()
+			ev.Members = append([]detect.SwitchID(nil), ev.Members...) // Replay reuses rec
 			st.staged = append(st.staged, refStaged{
-				clientID: rec.clientID, seq: rec.seq,
-				ev: recordToEvent(rec.ev), hop: rec.hop,
+				clientID: rec.clientID, seq: rec.it.seq,
+				ev: ev, hop: int(rec.it.hop),
 			})
 		case jrecTick:
-			st.staged = append(st.staged, refStaged{clientID: rec.clientID, seq: rec.seq, tick: true})
+			st.staged = append(st.staged, refStaged{clientID: rec.clientID, seq: rec.it.seq, tick: true})
 		}
 	}
 	err := cfg.Journal.Replay(func(rec *journalRecord) error {
@@ -251,19 +253,19 @@ type journalPlan struct {
 // after each batch as the connection reader does. Some reports carry
 // members, and some frames repeat an accounted sequence number.
 func testIngest(srv *Server, r *xrand.Rand, next map[uint64]uint64, batches int) {
-	groups := make([][]shardItem, len(srv.shards))
+	groups := make([][]item, len(srv.shards))
 	for b := 0; b < batches; b++ {
 		id := 1 + r.Uint64n(3)
 		cs := srv.clientState(id)
-		var batch []batchItem
+		var batch []item
 		for k := 1 + r.Uint64n(12); k > 0; k-- {
 			if next[id] > 0 && r.Uint64n(20) == 0 {
-				batch = append(batch, batchItem{seq: next[id], tick: true}) // a retransmitted frame
+				batch = append(batch, item{seq: next[id], kind: itemTick}) // a retransmitted frame
 				continue
 			}
 			next[id]++
 			if r.Uint64n(25) == 0 {
-				batch = append(batch, batchItem{seq: next[id], tick: true})
+				batch = append(batch, item{seq: next[id], kind: itemTick})
 				continue
 			}
 			ev := dataplane.LoopEvent{
@@ -276,7 +278,7 @@ func testIngest(srv *Server, r *xrand.Rand, next map[uint64]uint64, batches int)
 					ev.Members = append(ev.Members, detect.SwitchID(1+r.Uint64n(30)))
 				}
 			}
-			batch = append(batch, batchItem{seq: next[id], ev: ev, hop: int(r.Uint64n(40))})
+			batch = append(batch, testItem(next[id], ev, int(r.Uint64n(40))))
 		}
 		srv.ingestBatch(cs, id, batch, groups)
 		srv.journal.Commit()
@@ -336,7 +338,7 @@ func writeTestJournal(t *testing.T, p journalPlan) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn := appendJournalRecord(nil, appendJournalTick(nil, 1, next[1]+1))
+		torn := appendJournalRecord(nil, jtick(1, next[1]+1))
 		if _, err := f.Write(torn[:len(torn)-3]); err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +394,7 @@ func TestRecoveryMatchesReference(t *testing.T) {
 		}
 		members := 0
 		for _, rec := range replayAll(t, j) {
-			if rec.kind == jrecReport && len(rec.ev.Members) > 0 {
+			if rec.kind == jrecReport && len(rec.it.members) > 0 {
 				members++
 			}
 		}
@@ -420,7 +422,7 @@ func writeSegments(t *testing.T, dir string, segs [][]byte) {
 func TestRecoveryRefusesCorruptSupersededHistory(t *testing.T) {
 	genesis := appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot()))
 	report := func(seq uint64) []byte {
-		return appendJournalRecord(nil, appendJournalReport(nil, 1, seq, LoopEventRecord{Flow: 9, Reporter: 2, Hops: 3}, 4))
+		return appendJournalRecord(nil, jreport(1, item{seq: seq, flow: 9, reporter: 2, hops: 3, hop: 4}))
 	}
 	spans := func(last uint64) *journalSnapshot {
 		return &journalSnapshot{Ingested: last, Clients: []clientSeqEntry{{ID: 1, Spans: []SeqSpan{{First: 1, Last: last}}}}}
@@ -481,7 +483,7 @@ func writeFlatJournal(t *testing.T, dir string, n int) {
 	}
 	j.mu.Lock()
 	for i := 0; i < n; i++ {
-		j.batchReportLocked(1, uint64(i+1), LoopEventRecord{Flow: uint32(i % 64), Reporter: uint32(i%5 + 1), Hops: 3, Node: 1}, i%40)
+		j.batchAppendLocked(1, &item{seq: uint64(i + 1), flow: uint32(i % 64), reporter: uint32(i%5 + 1), hops: 3, node: 1, hop: uint32(i % 40)})
 		if i%256 == 255 {
 			j.sealBatchLocked()
 		}
@@ -622,15 +624,16 @@ func fuzzJournal(data []byte) [][]byte {
 			if take()%16 != 0 {
 				next[id]++
 			}
-			ev := LoopEventRecord{Flow: take() % 20, Reporter: 1 + take()%4, Hops: 3, Node: 1}
+			it := item{seq: next[id], flow: take() % 20, reporter: 1 + take()%4, hops: 3, node: 1}
 			for m := take() % 4; m > 1; m-- {
-				ev.Members = append(ev.Members, m)
+				it.members = append(it.members, detect.SwitchID(m))
 			}
-			write(appendJournalReport(nil, id, next[id], ev, int(take()%32)))
+			it.hop = take() % 32
+			write(jreport(id, it))
 		case 3:
 			id := uint64(1 + take()%3)
 			next[id]++
-			write(appendJournalTick(nil, id, next[id]))
+			write(jtick(id, next[id]))
 		case 4:
 			if take()%2 == 0 {
 				segs = append(segs, snapshot())
@@ -667,11 +670,11 @@ func BenchmarkRecover(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := xrand.New(7)
-	groups := make([][]shardItem, len(live.shards))
+	groups := make([][]item, len(live.shards))
 	var seq [4]uint64
 	for i := 0; i < 600; i++ {
 		id := uint64(i % 4)
-		batch := make([]batchItem, 0, 101)
+		batch := make([]item, 0, 101)
 		for k := 0; k < 100; k++ {
 			seq[id]++
 			ev := dataplane.LoopEvent{
@@ -681,10 +684,10 @@ func BenchmarkRecover(b *testing.B) {
 			if r.Uint64n(10) == 0 {
 				ev.Members = []detect.SwitchID{1, 2, 3}
 			}
-			batch = append(batch, batchItem{seq: seq[id], ev: ev, hop: int(r.Uint64n(40))})
+			batch = append(batch, testItem(seq[id], ev, int(r.Uint64n(40))))
 		}
 		seq[id]++
-		batch = append(batch, batchItem{seq: seq[id], tick: true})
+		batch = append(batch, item{seq: seq[id], kind: itemTick})
 		live.ingestBatch(live.clientState(id+1), id+1, batch, groups)
 		j.Commit()
 	}

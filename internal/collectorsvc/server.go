@@ -292,21 +292,13 @@ func (cs *clientSeq) restoreSpans(spans []SeqSpan) {
 	cs.mu.Unlock()
 }
 
-// shardItem is one queued unit of work: a report (with its dedup hop),
-// an epoch tick, or a snapshot barrier.
-type shardItem struct {
-	ev      dataplane.LoopEvent
-	hop     int
-	tick    bool
-	barrier *shardBarrier
-}
-
 // shardBarrier quiesces the shard workers for a snapshot: each worker
-// acks on reached when it dequeues the barrier (its queue prefix fully
-// delivered) and then parks until resume closes. While every worker is
-// parked, shard flow tables and controller stats are a consistent cut.
-// Barriers are only pushed while the journal mutex serializes all
-// ingest, so nothing is queued behind one until the snapshot is taken.
+// acks on reached when it dequeues a barrier item (its queue prefix
+// fully delivered) and then parks until resume closes. While every
+// worker is parked, shard flow tables and controller stats are a
+// consistent cut. Barriers are only pushed while the journal mutex
+// serializes all ingest, so nothing is queued behind one until the
+// snapshot is taken, and a shard holds one barrier at a time.
 type shardBarrier struct {
 	reached chan struct{}
 	resume  chan struct{}
@@ -317,7 +309,10 @@ const queueDepth = 1024
 
 // shard is one independent ingest lane: ring queue, controller, and
 // per-flow dedup windows. The queue is guarded by mu; the flow table is
-// touched only by the shard's worker goroutine.
+// touched only by the shard's worker goroutine. The ring holds items by
+// value, reports and ticks and barriers alike; the barrier a barrier
+// item parks the worker on is the shard's barrier field, set with the
+// item.
 //
 // A full ring pushes back on the connection: readers wait in waitRoom
 // before they take the journal lock. A push runs under that lock or in a
@@ -328,9 +323,10 @@ type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signalled when items arrive or the shard closes
 	room    *sync.Cond // broadcast when the worker frees slots, or on DisconnectAll
-	ring    []shardItem
+	ring    []item
 	head, n int
-	waiters int // readers parked in waitRoom
+	waiters int           // readers parked in waitRoom
+	barrier *shardBarrier // what a queued barrier item parks the worker on
 	closed  bool
 
 	ctrl      *dataplane.Controller
@@ -341,7 +337,7 @@ type shard struct {
 
 func newShard(ctrlCfg dataplane.ControllerConfig, depth, maxFlows int) *shard {
 	sh := &shard{
-		ring:     make([]shardItem, depth),
+		ring:     make([]item, depth),
 		ctrl:     dataplane.NewControllerWithConfig(ctrlCfg),
 		maxFlows: maxFlows,
 	}
@@ -370,29 +366,39 @@ func (sh *shard) waitRoom(need int, gone func() bool) bool {
 // worker wakeup — the batched hand-off the connection readers use so
 // queue-lock traffic scales with batches, not frames. A full ring
 // doubles, keeping the queue order.
-func (sh *shard) pushBatch(items []shardItem) {
+func (sh *shard) pushBatch(items []item) {
 	if len(items) == 0 {
 		return
 	}
 	sh.mu.Lock()
-	for _, it := range items {
+	for i := range items {
 		if sh.n == len(sh.ring) {
-			ring := make([]shardItem, 2*len(sh.ring))
+			ring := make([]item, 2*len(sh.ring))
 			k := copy(ring, sh.ring[sh.head:])
 			copy(ring[k:], sh.ring[:sh.head])
 			sh.ring, sh.head = ring, 0
 		}
-		sh.ring[(sh.head+sh.n)%len(sh.ring)] = it
+		sh.ring[(sh.head+sh.n)%len(sh.ring)] = items[i]
 		sh.n++
 	}
 	sh.mu.Unlock()
 	sh.cond.Signal()
 }
 
+// pushBarrier makes b the shard's barrier and queues the item that parks
+// the worker on it. The caller pushes the next barrier only once b's
+// resume is closed.
+func (sh *shard) pushBarrier(b *shardBarrier) {
+	sh.mu.Lock()
+	sh.barrier = b
+	sh.mu.Unlock()
+	sh.pushBatch([]item{{kind: itemBarrier}})
+}
+
 // popBatch dequeues up to cap(dst)-len(dst) items into dst with one
 // lock acquisition, blocking until at least one arrives or the shard is
 // closed and drained (ok=false).
-func (sh *shard) popBatch(dst []shardItem) ([]shardItem, bool) {
+func (sh *shard) popBatch(dst []item) ([]item, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for sh.n == 0 {
@@ -403,7 +409,7 @@ func (sh *shard) popBatch(dst []shardItem) ([]shardItem, bool) {
 	}
 	for len(dst) < cap(dst) && sh.n > 0 {
 		dst = append(dst, sh.ring[sh.head])
-		sh.ring[sh.head] = shardItem{}
+		sh.ring[sh.head] = item{}
 		sh.head = (sh.head + 1) % len(sh.ring)
 		sh.n--
 	}
@@ -428,7 +434,7 @@ const shardDrainBatch = 256
 // Delivery order — and therefore every admission decision — is
 // identical to popping one item at a time.
 func (sh *shard) run() {
-	buf := make([]shardItem, 0, shardDrainBatch)
+	buf := make([]item, 0, shardDrainBatch)
 	fds := make([]dataplane.FlowDelivery, 0, shardDrainBatch)
 	for {
 		var ok bool
@@ -444,23 +450,32 @@ func (sh *shard) run() {
 			}
 		}
 		for i := range buf {
-			it := &buf[i]
-			if it.barrier != nil {
+			switch it := &buf[i]; it.kind {
+			case itemBarrier:
 				flush()
-				it.barrier.reached <- struct{}{}
-				<-it.barrier.resume
-				continue
-			}
-			if it.tick {
+				// Set under mu before the item was queued, and not set
+				// again until this barrier's resume is closed.
+				b := sh.barrier
+				b.reached <- struct{}{}
+				<-b.resume
+			case itemTick:
 				flush()
 				sh.ctrl.Tick()
-				continue
+			default:
+				fds = sh.appendDelivery(fds, it)
+				it.members = nil // the delivered event holds them now
 			}
-			fds = append(fds, dataplane.FlowDelivery{Ev: it.ev, W: sh.window(it.ev.Flow), Hop: it.hop})
-			buf[i] = shardItem{} // release the event's member slice
 		}
 		flush()
 	}
+}
+
+// appendDelivery appends the delivery of report it to the shard
+// controller: its event, which takes over the item's members, and its
+// flow's dedup window. The shard worker and recovery's Commit both
+// deliver through it.
+func (sh *shard) appendDelivery(fds []dataplane.FlowDelivery, it *item) []dataplane.FlowDelivery {
+	return append(fds, dataplane.FlowDelivery{Ev: it.event(), W: sh.window(it.flow), Hop: int(it.hop)})
 }
 
 // window returns (creating if needed) the flow's dedup window, applying
@@ -800,16 +815,6 @@ func (s *Server) shardFor(flow uint32) *shard {
 	return s.shards[s.shardIndex(flow)]
 }
 
-// batchItem is one decoded report or tick frame parked in a
-// connection's ingest batch between the coalesced read and the batched
-// account/journal/enqueue step.
-type batchItem struct {
-	seq  uint64
-	ev   dataplane.LoopEvent
-	hop  int
-	tick bool
-}
-
 // handle is the per-connection reader: hello, then a stream of report
 // and tick frames, acknowledged in batches. Any decode error kills the
 // connection (the client reconnects and retransmits unacknowledged
@@ -889,8 +894,8 @@ func (s *Server) handle(conn net.Conn) {
 		return true
 	}
 
-	batch := make([]batchItem, 0, s.cfg.Batch)
-	groups := make([][]shardItem, len(s.shards))
+	batch := make([]item, 0, s.cfg.Batch)
+	groups := make([][]item, len(s.shards))
 	// ingest first waits, before any lock, until every shard has room
 	// for the batch: n frames add at most n items to a shard (a tick
 	// adds one to each). It reports false if the reader gave up waiting
@@ -926,17 +931,11 @@ func (s *Server) handle(conn net.Conn) {
 	drain:
 		for {
 			switch f.Type {
-			case FrameReport:
-				if f.Seq > lastSeen {
-					lastSeen = f.Seq
+			case FrameReport, FrameTick:
+				if f.seq > lastSeen {
+					lastSeen = f.seq
 				}
-				batch = append(batch, batchItem{seq: f.Seq, ev: f.Event, hop: f.Hop})
-				pending++
-			case FrameTick:
-				if f.Seq > lastSeen {
-					lastSeen = f.Seq
-				}
-				batch = append(batch, batchItem{seq: f.Seq, tick: true})
+				batch = append(batch, f.item)
 				pending++
 			case FrameHeartbeat:
 				// Not sequence-accounted; answer with the current
@@ -1033,7 +1032,7 @@ func writeAck(bw *bufio.Writer, ackBuf []byte, seq uint64) ([]byte, error) {
 // arrival order, and a journal replay (which applies records one at a
 // time, in order) reproduces the exact same delivery sequence. The
 // caller has waited in waitRoom first; no push here waits or drops.
-func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, groups [][]shardItem) {
+func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []item, groups [][]item) {
 	j := s.journal
 	if j != nil {
 		j.mu.Lock()
@@ -1046,22 +1045,19 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 			dupes++
 			continue
 		}
-		if it.tick {
+		if j != nil {
+			j.batchAppendLocked(clientID, it)
+		}
+		if it.kind == itemTick {
 			ticks++
-			if j != nil {
-				j.batchTickLocked(clientID, it.seq)
-			}
 			for i := range groups {
-				groups[i] = append(groups[i], shardItem{tick: true})
+				groups[i] = append(groups[i], *it)
 			}
 			continue
 		}
 		ingested++
-		if j != nil {
-			j.batchReportLocked(clientID, it.seq, eventToRecord(it.ev), it.hop)
-		}
-		idx := s.shardIndex(it.ev.Flow)
-		groups[idx] = append(groups[idx], shardItem{ev: it.ev, hop: it.hop})
+		idx := s.shardIndex(it.flow)
+		groups[idx] = append(groups[idx], *it)
 	}
 	for i, g := range groups {
 		s.shards[i].pushBatch(g)

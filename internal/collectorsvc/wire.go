@@ -8,7 +8,10 @@
 //
 //   - wire.go: a versioned, length-prefixed binary frame format carrying
 //     loop reports (dataplane.LoopEvent + the reporting hop), client
-//     hellos, epoch ticks, and acknowledgements;
+//     hellos, epoch ticks, and acknowledgements, and the item: the one
+//     shape a report or tick takes from the client's rings through the
+//     decoded frame, the connection's batch, the journal and the shard
+//     rings to delivery;
 //   - server.go: a TCP service that ingests frames, shards events by
 //     flow hash across N independent dataplane.Controller instances,
 //     and absorbs bursts in per-shard queues that, when full, make the
@@ -116,15 +119,114 @@ var (
 	ErrBadFrame = errors.New("collectorsvc: malformed frame")
 )
 
+// item is one report, tick or barrier as the collector holds it from
+// socket to shard: in the client's rings, in a decoded Frame, in a
+// connection's ingest batch, in the shard rings and in recovery. Its
+// fields are the wire's, at the wire's widths, so nothing is converted
+// or copied between layers; members is decoded once, and the journal
+// encoder and the delivered event share it. 56 bytes.
+type item struct {
+	seq      uint64
+	flow     uint32
+	reporter uint32
+	hops     uint32 // the report's hop count
+	node     uint32
+	hop      uint32 // the journey hop when the report fired: the dedup context
+	kind     uint8  // itemReport, itemTick or itemBarrier
+	members  []detect.SwitchID
+}
+
+// Item kinds. A barrier carries nothing: the shard it is queued on
+// holds the barrier itself (see shard.pushBarrier).
+const (
+	itemReport = iota
+	itemTick
+	itemBarrier
+)
+
+// reportItem builds the item for report ev at journey hop hop. It
+// refuses with ErrBadFrame what the wire cannot carry: more than
+// MaxMembers members, or a hop, report hop count or node outside
+// [0, 2^32), which would decode as a different value rather than be
+// truncated. The item shares ev's members.
+func reportItem(ev dataplane.LoopEvent, hop int) (item, error) {
+	if len(ev.Members) > MaxMembers {
+		return item{}, fmt.Errorf("%w: %d members exceeds cap %d", ErrBadFrame, len(ev.Members), MaxMembers)
+	}
+	// uint64 of a negative int is above the bound too.
+	if uint64(hop) > math.MaxUint32 || uint64(ev.Hops) > math.MaxUint32 || uint64(ev.Node) > math.MaxUint32 {
+		return item{}, fmt.Errorf("%w: hop/node outside [0, 2^32) (hop=%d report-hops=%d node=%d)", ErrBadFrame, hop, ev.Hops, ev.Node)
+	}
+	return item{
+		flow:     ev.Flow,
+		reporter: uint32(ev.Reporter),
+		hops:     uint32(ev.Hops),
+		node:     uint32(ev.Node),
+		hop:      uint32(hop),
+		members:  ev.Members,
+	}, nil
+}
+
+// event returns the report as the controller takes it. The event shares
+// the item's members, so they must never be written again: each report's
+// members are a slice of their own.
+func (it *item) event() dataplane.LoopEvent {
+	ev := dataplane.LoopEvent{
+		Report: detect.Report{Reporter: detect.SwitchID(it.reporter), Hops: int(it.hops)},
+		Node:   int(it.node),
+		Flow:   it.flow,
+	}
+	if len(it.members) > 0 {
+		ev.Members = it.members
+	}
+	return ev
+}
+
+// appendFrame appends the item's wire frame: a tick's or a report's.
+func (it *item) appendFrame(dst []byte) []byte {
+	if it.kind == itemTick {
+		return AppendTick(dst, it.seq)
+	}
+	dst, off := appendPrefix(dst, FrameReport)
+	dst = binary.BigEndian.AppendUint64(dst, it.seq)
+	dst = binary.BigEndian.AppendUint32(dst, it.flow)
+	dst = binary.BigEndian.AppendUint32(dst, it.reporter)
+	dst = binary.BigEndian.AppendUint32(dst, it.hops)
+	dst = binary.BigEndian.AppendUint32(dst, it.node)
+	dst = binary.BigEndian.AppendUint32(dst, it.hop)
+	return patchLen(appendMembers(dst, it.members), off)
+}
+
+// appendMembers appends a member count and the members, as both the
+// wire and the journal write them.
+func appendMembers(dst []byte, members []detect.SwitchID) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(members)))
+	for _, id := range members {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+// decodeMembers decodes count members, 4 bytes each, from b: into dst's
+// storage when it has room, else into a new slice of exactly count.
+func decodeMembers(dst []detect.SwitchID, b []byte, count int) []detect.SwitchID {
+	if cap(dst) < count {
+		dst = make([]detect.SwitchID, count)
+	}
+	dst = dst[:count]
+	for i := range dst {
+		dst[i] = detect.SwitchID(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return dst
+}
+
 // Frame is one decoded frame. Which fields are meaningful depends on
-// Type: ClientID for hellos, Seq for reports/ticks/acks, Hop and Event
-// for reports.
+// Type: ClientID for hellos, the item's seq for reports, ticks, acks and
+// heartbeats, and the rest of the item for reports.
 type Frame struct {
 	Type     uint8
 	ClientID uint64
-	Seq      uint64
-	Hop      int
-	Event    dataplane.LoopEvent
+	item
 }
 
 // appendPrefix reserves the length prefix and writes version and type,
@@ -154,27 +256,12 @@ func AppendHello(dst []byte, clientID uint64) []byte {
 // and ev.Node must lie in [0, 2^32), the wire's 32 bits; anything else
 // is rejected with ErrBadFrame rather than truncated.
 func AppendReport(dst []byte, seq uint64, ev dataplane.LoopEvent, hop int) ([]byte, error) {
-	if len(ev.Members) > MaxMembers {
-		return dst, fmt.Errorf("%w: %d members exceeds cap %d", ErrBadFrame, len(ev.Members), MaxMembers)
+	it, err := reportItem(ev, hop)
+	if err != nil {
+		return dst, err
 	}
-	// The fields are 32 bits on the wire: a negative or wider value
-	// would decode as a different one (uint64 of a negative int is
-	// above the bound too).
-	if uint64(hop) > math.MaxUint32 || uint64(ev.Hops) > math.MaxUint32 || uint64(ev.Node) > math.MaxUint32 {
-		return dst, fmt.Errorf("%w: hop/node outside [0, 2^32) (hop=%d report-hops=%d node=%d)", ErrBadFrame, hop, ev.Hops, ev.Node)
-	}
-	dst, off := appendPrefix(dst, FrameReport)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	dst = binary.BigEndian.AppendUint32(dst, ev.Flow)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Reporter))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Hops))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Node))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(hop))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ev.Members)))
-	for _, id := range ev.Members {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
-	}
-	return patchLen(dst, off), nil
+	it.seq = seq
+	return it.appendFrame(dst), nil
 }
 
 // AppendTick appends an epoch-tick frame.
@@ -208,20 +295,30 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < lenPrefixSize {
 		return f, 0, fmt.Errorf("%w: %d bytes, need %d for the length prefix", ErrShortFrame, len(buf), lenPrefixSize)
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	if n > MaxFrameBody {
-		return f, 0, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
-	}
-	if n < frameOverhead {
-		return f, 0, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
-	}
-	if len(buf) < lenPrefixSize+n {
-		return f, 0, fmt.Errorf("%w: %d of %d frame bytes", ErrShortFrame, len(buf)-lenPrefixSize, n)
-	}
-	if err := decodeBody(&f, buf[lenPrefixSize:lenPrefixSize+n]); err != nil {
+	n, err := frameLen(buf)
+	if err != nil {
 		return f, 0, err
 	}
-	return f, lenPrefixSize + n, nil
+	if len(buf) < n {
+		return f, 0, fmt.Errorf("%w: %d of %d frame bytes", ErrShortFrame, len(buf)-lenPrefixSize, n-lenPrefixSize)
+	}
+	if err := decodeBody(&f, buf[lenPrefixSize:n]); err != nil {
+		return f, 0, err
+	}
+	return f, n, nil
+}
+
+// frameLen checks the length prefix at the front of prefix and returns
+// the whole frame's length, prefix included.
+func frameLen(prefix []byte) (int, error) {
+	n := int(binary.BigEndian.Uint32(prefix))
+	if n > MaxFrameBody {
+		return 0, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
+	}
+	if n < frameOverhead {
+		return 0, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
+	}
+	return lenPrefixSize + n, nil
 }
 
 // decodeBody parses version, type, and the type-specific body.
@@ -241,17 +338,14 @@ func decodeBody(f *Frame, b []byte) error {
 		if len(body) != seqBodyLen {
 			return fmt.Errorf("%w: type-%d body of %d bytes, want %d", ErrBadFrame, f.Type, len(body), seqBodyLen)
 		}
-		f.Seq = binary.BigEndian.Uint64(body)
+		f.seq = binary.BigEndian.Uint64(body)
+		if f.Type == FrameTick {
+			f.kind = itemTick
+		}
 	case FrameReport:
 		if len(body) < reportFixedLen {
 			return fmt.Errorf("%w: report body of %d bytes, want at least %d", ErrBadFrame, len(body), reportFixedLen)
 		}
-		f.Seq = binary.BigEndian.Uint64(body)
-		f.Event.Flow = binary.BigEndian.Uint32(body[8:])
-		f.Event.Reporter = detect.SwitchID(binary.BigEndian.Uint32(body[12:]))
-		f.Event.Hops = int(binary.BigEndian.Uint32(body[16:]))
-		f.Event.Node = int(binary.BigEndian.Uint32(body[20:]))
-		f.Hop = int(binary.BigEndian.Uint32(body[24:]))
 		count := int(binary.BigEndian.Uint16(body[28:]))
 		if count > MaxMembers {
 			return fmt.Errorf("%w: %d members exceeds cap %d", ErrBadFrame, count, MaxMembers)
@@ -259,15 +353,13 @@ func decodeBody(f *Frame, b []byte) error {
 		if len(body) != reportFixedLen+4*count {
 			return fmt.Errorf("%w: report body of %d bytes for %d members, want %d", ErrBadFrame, len(body), count, reportFixedLen+4*count)
 		}
-		if count > 0 {
-			members := make([]detect.SwitchID, count)
-			for i := range members {
-				members[i] = detect.SwitchID(binary.BigEndian.Uint32(body[reportFixedLen+4*i:]))
-			}
-			f.Event.Members = members
-		} else {
-			f.Event.Members = nil
-		}
+		f.seq = binary.BigEndian.Uint64(body)
+		f.flow = binary.BigEndian.Uint32(body[8:])
+		f.reporter = binary.BigEndian.Uint32(body[12:])
+		f.hops = binary.BigEndian.Uint32(body[16:])
+		f.node = binary.BigEndian.Uint32(body[20:])
+		f.hop = binary.BigEndian.Uint32(body[24:])
+		f.members = decodeMembers(nil, body[reportFixedLen:], count)
 	default:
 		return fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, f.Type)
 	}
@@ -291,14 +383,11 @@ func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
 		}
 		return f, err
 	}
-	n := int(binary.BigEndian.Uint32(prefix))
-	if n > MaxFrameBody {
-		return f, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
+	n, err := frameLen(prefix)
+	if err != nil {
+		return f, err
 	}
-	if n < frameOverhead {
-		return f, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
-	}
-	whole, err := br.Peek(lenPrefixSize + n)
+	whole, err := br.Peek(n)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return f, io.ErrUnexpectedEOF
@@ -308,7 +397,7 @@ func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
 	if err := decodeBody(&f, whole[lenPrefixSize:]); err != nil {
 		return f, err
 	}
-	br.Discard(lenPrefixSize + n)
+	br.Discard(n)
 	return f, nil
 }
 
@@ -327,9 +416,6 @@ func frameBuffered(br *bufio.Reader) bool {
 		return false
 	}
 	prefix, _ := br.Peek(lenPrefixSize)
-	n := int(binary.BigEndian.Uint32(prefix))
-	if n > MaxFrameBody || n < frameOverhead {
-		return true
-	}
-	return br.Buffered() >= lenPrefixSize+n
+	n, err := frameLen(prefix)
+	return err != nil || br.Buffered() >= n
 }

@@ -14,6 +14,17 @@ import (
 	"github.com/unroller/unroller/internal/detect"
 )
 
+// testItem is the item a client queues for report ev at journey hop
+// hop, numbered seq. ev must be one the wire can carry.
+func testItem(seq uint64, ev dataplane.LoopEvent, hop int) item {
+	it, err := reportItem(ev, hop)
+	if err != nil {
+		panic(err)
+	}
+	it.seq = seq
+	return it
+}
+
 // TestFrameRoundTrip encodes every frame type and decodes it back, both
 // through DecodeFrame (buffer) and ReadFrameBuffered (stream).
 func TestFrameRoundTrip(t *testing.T) {
@@ -35,9 +46,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	want := []Frame{
 		{Type: FrameHello, ClientID: 0xCAFEBABE12345678},
-		{Type: FrameReport, Seq: 7, Hop: 23, Event: ev},
-		{Type: FrameTick, Seq: 99},
-		{Type: FrameAck, Seq: 100},
+		{Type: FrameReport, item: item{seq: 7, flow: 0x01020304, reporter: 0xDEADBEEF, hops: 17, node: 42, hop: 23, members: ev.Members}},
+		{Type: FrameTick, item: item{seq: 99, kind: itemTick}},
+		{Type: FrameAck, item: item{seq: 100}},
 	}
 
 	var stream []byte
@@ -51,6 +62,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(f, want[i]) {
 			t.Errorf("frame %d: got %+v want %+v", i, f, want[i])
+		}
+		if f.Type == FrameReport && !reflect.DeepEqual(f.event(), ev) {
+			t.Errorf("report delivers event %+v, want %+v", f.event(), ev)
 		}
 		stream = append(stream, buf...)
 	}
@@ -199,7 +213,7 @@ func TestAppendReportRejectsBadEvents(t *testing.T) {
 			continue
 		}
 		f, _, err := DecodeFrame(b)
-		if err != nil || f.Hop != tc.hop || f.Event.Hops != tc.ev.Hops || f.Event.Node != tc.ev.Node {
+		if err != nil || int(f.hop) != tc.hop || f.event().Hops != tc.ev.Hops || f.event().Node != tc.ev.Node {
 			t.Errorf("%s: decoded %+v, %v; want hop %d, report hops %d, node %d", tc.name, f, err, tc.hop, tc.ev.Hops, tc.ev.Node)
 		}
 	}
